@@ -23,32 +23,16 @@ import (
 // its result slot is nil — while its siblings completed), and the
 // batch-level err for problems that void the whole dispatch (invalid or
 // unsupported options, mismatched shapes, a fail-stop abort). The batched
-// path rejects Config options that are inherently per-run — FailStop,
-// CheckpointEvery/OnCheckpoint/Resume, and Config.Injector — because they
-// cannot be shared across a slab; fault injection is instead per item via
-// the optional injs arguments on the *BatchOn variants, and attaching any
-// injector forces the serial schedule for the whole batch (the same rule
-// the solo runtime applies; results are bit-identical either way).
-
-// validateBatchCfg rejects Config fields the batched path cannot honor.
-func validateBatchCfg(cfg Config) error {
-	if cfg.Injector != nil {
-		return fmt.Errorf("ftla: batched runs take per-item injectors (the *BatchOn injs argument), not Config.Injector")
-	}
-	if len(cfg.FailStop) > 0 {
-		return fmt.Errorf("ftla: fail-stop plans are not supported in batched runs")
-	}
-	if cfg.Resume != nil || cfg.CheckpointEvery > 0 || cfg.OnCheckpoint != nil {
-		return fmt.Errorf("ftla: checkpoint/resume options are not supported in batched runs")
-	}
-	return nil
-}
+// path rejects Config options that steer or abort the shared schedule from
+// one run's state — FailStop, NodeFault, Rebalance.Every,
+// CheckpointEvery/OnCheckpoint/Resume, and Config.Injector (core validates
+// them). Fault injection is instead per item via the optional injs
+// arguments on the *BatchOn variants, and attaching any injector forces the
+// serial schedule for the whole batch (the same rule the solo runtime
+// applies; results are bit-identical either way).
 
 // packBatch normalizes cfg and packs the inputs into a checksummed slab.
 func packBatch(as []*Matrix, cfg Config) (*batch.Batch, core.Options, error) {
-	if err := validateBatchCfg(cfg); err != nil {
-		return nil, core.Options{}, err
-	}
 	_, opts := cfg.normalize()
 	b, err := batch.FromMatrices(as, opts.NB)
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"ftla/internal/batch"
 	"ftla/internal/fault"
@@ -13,23 +12,26 @@ import (
 // Batched drivers.
 //
 // CholeskyBatch, LUBatch, and QRBatch factorize every item of a
-// batch.Batch slab in one pass over the ladder: for each step k, each
-// stage (panel factor, commit, update, TMU, verification) sweeps across
-// all batch items before the next stage begins, so the per-step work of
-// the whole slab is issued together. Stages that move data over PCIe run
-// inside a hetsim transfer-coalescing window (System.CoalesceTransfers),
-// so a step's panel pulls, writebacks, and broadcasts pay the fixed
-// per-transfer latency once per link for the entire batch — the batched
-// analogue of a strided cudaMemcpy — which is where the serving layer's
-// jobs/sec win over solo dispatch comes from (see BENCH_batch.json).
+// batch.Batch slab as one run set on the step runtime (runLadder): for
+// each step k, each stage sweeps across all live items before the next
+// stage begins, so the per-step work of the whole slab is issued together.
+// The build, panel-factor, panel-commit, panel-update, and gather sweeps
+// run inside a hetsim transfer-coalescing window
+// (System.CoalesceTransfers), so a step's panel pulls, writebacks, and
+// broadcasts pay the fixed per-transfer latency once per link for the
+// entire batch — the batched analogue of a strided cudaMemcpy — which is
+// where the serving layer's jobs/sec win over solo dispatch comes from
+// (see BENCH_batch.json). A one-item batch keeps those windows; the solo
+// entry points never open them.
 //
 // Per-item semantics:
 //
 //   - Arithmetic is bit-identical to a solo run of the same item: each
-//     item executes exactly the per-item ladder code of the solo driver on
-//     disjoint buffers; items interact only through the shared simulated
-//     clock. The batch bit-identity tests pin this across decompositions,
-//     schedules, and GPU counts.
+//     item executes exactly the ladder code of the solo driver on disjoint
+//     buffers; items interact only through the shared simulated clock. The
+//     batch bit-identity tests pin this across decompositions, schedules,
+//     and GPU counts, and the pipeline tests pin that a batch journals the
+//     same canonical stage sequence as a solo run.
 //   - Failure is isolated: an item whose driver errors (failed panel
 //     factorization, corrupted queue input) is flagged and its remaining
 //     stages are skipped while its siblings run to completion; the
@@ -40,11 +42,14 @@ import (
 //     injector forces the serial schedule for the whole batch, the same
 //     schedule-invariance rule the solo runtime applies (results are
 //     bit-identical either way).
-//   - Checkpointing, resume, and fail-stop plans are not supported in
-//     batched runs: they are per-run control flow that cannot be shared
-//     across a slab, and the serving layer's per-item fallback (retry the
-//     one bad item solo) covers their role. Options carrying them are
-//     rejected up front.
+//   - Checkpointing, resume, rebalancing, and fail-stop and node-fault
+//     plans are not supported in batched runs: they steer or abort the
+//     whole shared schedule from one run's state, and the serving layer's
+//     per-item fallback (retry the one bad item solo) covers their role.
+//     Options carrying them are rejected up front.
+//   - On a multi-node system every item carries its own erasure-coded
+//     parity and refreshes it after each verified step, as a solo run
+//     does.
 //
 // Result caveats: Wall, SimMakespan, PCIeBytes, and Flops on a batched
 // item's Result describe the whole batch dispatch (the clock and counters
@@ -72,197 +77,53 @@ func validateBatchOpts(b *batch.Batch, opts Options, injs []*fault.Injector) err
 	if len(opts.FailStop) > 0 {
 		return fmt.Errorf("core: fail-stop plans are not supported in batched runs")
 	}
+	if len(opts.NodeFault) > 0 {
+		return fmt.Errorf("core: node-fault plans are not supported in batched runs")
+	}
+	if opts.Rebalance.Every > 0 {
+		return fmt.Errorf("core: rebalancing is not supported in batched runs")
+	}
 	if injs != nil && len(injs) != b.Count() {
 		return fmt.Errorf("core: %d injectors for %d batch items", len(injs), b.Count())
 	}
 	return nil
 }
 
-// startBatch validates the batch, verifies the slab's queue-integrity
-// strips (items corrupted host-side since submission are flagged with a
-// per-item error and excluded from the run), and builds the per-item
-// engine + ladder pairs on the shared system, distributing every item's
-// data inside one transfer-coalescing window.
-func startBatch(decomp string, sys *hetsim.System, b *batch.Batch, opts Options,
-	injs []*fault.Injector, mk func(es *engineSys, a *matrix.Dense) ladder,
-) (ess []*engineSys, ls []ladder, ress []*Result, errs []error, err error) {
+// batched validates a slab, flags the items whose queue-integrity strips
+// no longer match (corrupted host-side since submission) with a per-item
+// error, and runs the rest as one coalesced set.
+func batched(decomp string, sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Injector,
+	newLadder func(*engineSys, *protected) ladder,
+) ([]*runItem, error) {
 	if err := validateBatchOpts(b, opts, injs); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
 	if err := opts.ValidateTopology(sys); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
-	count := b.Count()
-	ess = make([]*engineSys, count)
-	ls = make([]ladder, count)
-	ress = make([]*Result, count)
-	errs = make([]error, count)
+	as := make([]*matrix.Dense, b.Count())
+	for i := range as {
+		as[i] = b.Item(i)
+	}
+	errs := make([]error, b.Count())
 	for _, i := range b.Verify(sys.CPU().Workers()) {
 		errs[i] = fmt.Errorf("core: batch item %d input corrupted since submission (slab checksum mismatch)", i)
 	}
-	opts.stageJournal = nil // the journal hook is a solo-run seam; per-item journals would interleave
-	sys.CoalesceTransfers(func() {
-		for i := 0; i < count; i++ {
-			if errs[i] != nil {
-				continue
-			}
-			iopts := opts
-			if injs != nil {
-				iopts.Injector = injs[i]
-			}
-			res := &Result{
-				N: b.N(), NB: opts.NB, GPUs: sys.NumGPUs(),
-				Mode: opts.Mode, Scheme: opts.Scheme, Kernel: opts.Kernel,
-			}
-			es := newEngine(decomp, sys, iopts, res)
-			ess[i], ls[i], ress[i] = es, mk(es, b.Item(i)), res
-		}
-	})
-	return ess, ls, ress, errs, nil
+	return factorize(decomp, sys, opts, as, injs, errs, true, newLadder)
 }
 
-// runLadderBatch executes every live item's ladder under one shared
-// schedule: each stage of step k sweeps the batch before the next stage
-// runs, with transfer-bearing stages coalesced. It fills errs in place as
-// items fail and leaves siblings running. The look-ahead schedule is used
-// only when every item allows it (Lookahead >= 1 and no injector anywhere);
-// mirroring runLadder, the per-item arithmetic is identical under both.
-func runLadderBatch(sys *hetsim.System, ess []*engineSys, ls []ladder, errs []error) {
-	count := len(ls)
-	nbr := 0
-	depth := 1
-	for i := 0; i < count; i++ {
-		if errs[i] != nil {
-			continue
-		}
-		nbr = ls[i].steps()
-		if ess[i].overlapDepth() < 1 {
-			depth = 0
+// unpack splits a finished batch into its per-item factors, reports, and
+// errors; a failed item's factor and report are nil.
+func unpack(items []*runItem) (outs []*matrix.Dense, ress []*Result, errs []error) {
+	outs = make([]*matrix.Dense, len(items))
+	ress = make([]*Result, len(items))
+	errs = make([]error, len(items))
+	for i, it := range items {
+		if errs[i] = it.err; it.err == nil {
+			outs[i], ress[i] = it.out, it.es.res
 		}
 	}
-	if nbr == 0 {
-		return // no live items
-	}
-	G := sys.NumGPUs()
-	var streams []*hetsim.Stream
-	defer func() {
-		for _, st := range streams {
-			if st != nil {
-				st.Close()
-			}
-		}
-	}()
-	// checkFailed harvests per-item driver errors after a stage sweep.
-	checkFailed := func() {
-		for i := 0; i < count; i++ {
-			if errs[i] == nil && ls[i] != nil {
-				if e := ls[i].failed(); e != nil {
-					errs[i] = e
-				}
-			}
-		}
-	}
-	// prefactored[i] marks that item i's panel for the upcoming step was
-	// already factorized by the look-ahead overlap of the previous step.
-	prefactored := make([]bool, count)
-	for k := 0; k < nbr; k++ {
-		sys.CoalesceTransfers(func() {
-			for i := 0; i < count; i++ {
-				if errs[i] == nil && !prefactored[i] {
-					ls[i].panelFactor(k)
-				}
-				prefactored[i] = false
-			}
-		})
-		checkFailed()
-		for i := 0; i < count; i++ {
-			if errs[i] == nil {
-				ls[i].panelPivot(k)
-			}
-		}
-		sys.CoalesceTransfers(func() {
-			for i := 0; i < count; i++ {
-				if errs[i] == nil {
-					ls[i].panelCommit(k)
-				}
-			}
-		})
-		checkFailed()
-		if k == nbr-1 {
-			break
-		}
-		sys.CoalesceTransfers(func() {
-			for i := 0; i < count; i++ {
-				if errs[i] == nil {
-					ls[i].panelUpdate(k)
-				}
-			}
-		})
-		for i := 0; i < count; i++ {
-			if errs[i] == nil {
-				ls[i].tmuBegin(k)
-			}
-		}
-		if depth >= 1 {
-			// Look-ahead: sweep the look-ahead column of every item
-			// synchronously, launch the slab's remaining trailing updates
-			// onto the per-GPU streams (one closure per GPU covering all
-			// items), and pull + factorize every item's next panel on the
-			// CPU — coalesced — while the GPUs run.
-			for i := 0; i < count; i++ {
-				if errs[i] != nil {
-					continue
-				}
-				for g := 0; g < G; g++ {
-					ls[i].tmuGPU(k, g, tmuLookahead)
-				}
-			}
-			if streams == nil {
-				streams = make([]*hetsim.Stream, G)
-				for g := 0; g < G; g++ {
-					streams[g] = sys.GPU(g).NewStream()
-				}
-			}
-			evs := make([]*hetsim.StreamEvent, G)
-			for g := 0; g < G; g++ {
-				g := g
-				streams[g].Launch("tmu-rest", func() {
-					for i := 0; i < count; i++ {
-						if errs[i] == nil {
-							ls[i].tmuGPU(k, g, tmuRest)
-						}
-					}
-				})
-				evs[g] = streams[g].Record()
-			}
-			sys.CoalesceTransfers(func() {
-				for i := 0; i < count; i++ {
-					if errs[i] == nil {
-						ls[i].panelFactor(k + 1)
-						prefactored[i] = true
-					}
-				}
-			})
-			for _, ev := range evs {
-				ev.Wait()
-			}
-		} else {
-			for i := 0; i < count; i++ {
-				if errs[i] != nil {
-					continue
-				}
-				for g := 0; g < G; g++ {
-					ls[i].tmuGPU(k, g, tmuAll)
-				}
-			}
-		}
-		for i := 0; i < count; i++ {
-			if errs[i] == nil {
-				ls[i].tmuFinish(k)
-			}
-		}
-		checkFailed()
-	}
+	return outs, ress, errs
 }
 
 // CholeskyBatch factorizes every item of the slab with the protected
@@ -272,76 +133,26 @@ func runLadderBatch(sys *hetsim.System, ess []*engineSys, ls []ladder, errs []er
 // set — plus a batch-level error for invalid options or a fail-stop abort,
 // which voids the whole dispatch.
 func CholeskyBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, ress []*Result, errs []error, err error) {
-	defer func() {
-		if e := hetsim.RecoverAbort(recover()); e != nil {
-			outs, ress, errs, err = nil, nil, nil, e
-		}
-	}()
-	start := time.Now()
-	ess, ls, ress, errs, berr := startBatch("cholesky", sys, b, opts, injs,
-		func(es *engineSys, a *matrix.Dense) ladder {
-			p := newProtected(es, a)
-			return &cholLadder{p: p, es: es, pl: planFor(es.opts.Scheme), step: make([]*cholStep, p.nbr)}
-		})
-	if berr != nil {
-		return nil, nil, nil, berr
+	items, err := batched("cholesky", sys, b, opts, injs, newCholLadder)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	runLadderBatch(sys, ess, ls, errs)
-	outs = make([]*matrix.Dense, b.Count())
-	sys.CoalesceTransfers(func() {
-		for i := range ls {
-			if errs[i] != nil {
-				ress[i] = nil
-				continue
-			}
-			outs[i] = ls[i].(*cholLadder).p.gather()
-		}
-	})
-	for i := range ls {
-		if errs[i] == nil {
-			ess[i].finishResult(start)
-		}
-	}
+	outs, ress, errs = unpack(items)
 	return outs, ress, errs, nil
 }
 
 // LUBatch is CholeskyBatch for the protected LU driver; pivs[i] is item
 // i's pivot sequence.
 func LUBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, pivs [][]int, ress []*Result, errs []error, err error) {
-	defer func() {
-		if e := hetsim.RecoverAbort(recover()); e != nil {
-			outs, pivs, ress, errs, err = nil, nil, nil, nil, e
-		}
-	}()
-	start := time.Now()
-	ess, ls, ress, errs, berr := startBatch("lu", sys, b, opts, injs,
-		func(es *engineSys, a *matrix.Dense) ladder {
-			p := newProtected(es, a)
-			return &luLadder{
-				p: p, es: es, pl: planFor(es.opts.Scheme),
-				step: make([]*luStep, p.nbr),
-				piv:  make([]int, p.n),
-			}
-		})
-	if berr != nil {
-		return nil, nil, nil, nil, berr
+	items, err := batched("lu", sys, b, opts, injs, newLULadder)
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
-	runLadderBatch(sys, ess, ls, errs)
-	outs = make([]*matrix.Dense, b.Count())
-	pivs = make([][]int, b.Count())
-	sys.CoalesceTransfers(func() {
-		for i := range ls {
-			if errs[i] != nil {
-				ress[i] = nil
-				continue
-			}
-			lad := ls[i].(*luLadder)
-			outs[i], pivs[i] = lad.p.gather(), lad.piv
-		}
-	})
-	for i := range ls {
-		if errs[i] == nil {
-			ess[i].finishResult(start)
+	outs, ress, errs = unpack(items)
+	pivs = make([][]int, len(items))
+	for i, it := range items {
+		if it.err == nil {
+			pivs[i] = it.l.(*luLadder).piv
 		}
 	}
 	return outs, pivs, ress, errs, nil
@@ -350,40 +161,15 @@ func LUBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Inj
 // QRBatch is CholeskyBatch for the protected Householder QR driver;
 // taus[i] is item i's reflector coefficients.
 func QRBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, taus [][]float64, ress []*Result, errs []error, err error) {
-	defer func() {
-		if e := hetsim.RecoverAbort(recover()); e != nil {
-			outs, taus, ress, errs, err = nil, nil, nil, nil, e
-		}
-	}()
-	start := time.Now()
-	ess, ls, ress, errs, berr := startBatch("qr", sys, b, opts, injs,
-		func(es *engineSys, a *matrix.Dense) ladder {
-			p := newProtected(es, a)
-			return &qrLadder{
-				p: p, es: es, pl: planFor(es.opts.Scheme),
-				step: make([]*qrStep, p.nbr),
-				tau:  make([]float64, p.n),
-			}
-		})
-	if berr != nil {
-		return nil, nil, nil, nil, berr
+	items, err := batched("qr", sys, b, opts, injs, newQRLadder)
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
-	runLadderBatch(sys, ess, ls, errs)
-	outs = make([]*matrix.Dense, b.Count())
-	taus = make([][]float64, b.Count())
-	sys.CoalesceTransfers(func() {
-		for i := range ls {
-			if errs[i] != nil {
-				ress[i] = nil
-				continue
-			}
-			lad := ls[i].(*qrLadder)
-			outs[i], taus[i] = lad.p.gather(), lad.tau
-		}
-	})
-	for i := range ls {
-		if errs[i] == nil {
-			ess[i].finishResult(start)
+	outs, ress, errs = unpack(items)
+	taus = make([][]float64, len(items))
+	for i, it := range items {
+		if it.err == nil {
+			taus[i] = it.l.(*qrLadder).tau
 		}
 	}
 	return outs, taus, ress, errs, nil

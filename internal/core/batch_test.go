@@ -9,6 +9,7 @@ import (
 	"ftla/internal/fault"
 	"ftla/internal/hetsim"
 	"ftla/internal/matrix"
+	"ftla/internal/obs"
 )
 
 func batchOpts(lookahead int) Options {
@@ -63,16 +64,15 @@ func runSolo(t *testing.T, decomp string, a *matrix.Dense, gpus int, opts Option
 	}
 }
 
-// runBatched factorizes the items as one batch on a fresh system and
-// returns per-item factors and auxiliary outputs, failing the test on any
-// batch-level or per-item error.
-func runBatched(t *testing.T, decomp string, ms []*matrix.Dense, gpus int, opts Options) ([]*matrix.Dense, [][]int, [][]float64) {
+// runBatched factorizes the items as one batch on sys and returns per-item
+// factors and auxiliary outputs, failing the test on any batch-level or
+// per-item error.
+func runBatched(t *testing.T, decomp string, ms []*matrix.Dense, sys *hetsim.System, opts Options) ([]*matrix.Dense, [][]int, [][]float64) {
 	t.Helper()
 	b, err := batch.FromMatrices(ms, opts.NB)
 	if err != nil {
 		t.Fatalf("pack batch: %v", err)
 	}
-	sys := testSystem(gpus)
 	var (
 		outs []*matrix.Dense
 		pivs [][]int
@@ -109,7 +109,7 @@ func TestBatchBitIdentity(t *testing.T) {
 			for gpus := 1; gpus <= 3; gpus++ {
 				ms := batchInputs(decomp, count, n)
 				opts := batchOpts(lookahead)
-				outs, pivs, taus := runBatched(t, decomp, ms, gpus, opts)
+				outs, pivs, taus := runBatched(t, decomp, ms, testSystem(gpus), opts)
 				for i := 0; i < count; i++ {
 					sout, spiv, stau := runSolo(t, decomp, ms[i], gpus, opts)
 					label := decomp
@@ -129,6 +129,50 @@ func TestBatchBitIdentity(t *testing.T) {
 								label, gpus, lookahead, i, j, stau[j], taus[i][j])
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// On a multi-node system every batched item carries its own erasure-coded
+// parity and refreshes it after each verified step, as a solo run does: the
+// batch journals the solo run's canonical sequence, parity stages included,
+// and every item stays bit-identical to its solo factor.
+func TestBatchClusterRefreshesParity(t *testing.T) {
+	const n, count = 64, 3
+	for _, lookahead := range []int{0, 1} {
+		opts := batchOpts(lookahead)
+		solo := runPipelineOn(t, "qr", n, clusterSystem(4, 2), opts)
+		var journal []stageRec
+		opts.stageJournal = &journal
+		ms := batchInputs("qr", count, n)
+		outs, _, taus := runBatched(t, "qr", ms, clusterSystem(4, 2), opts)
+		parity := 0
+		for i, rec := range solo.journal {
+			if i >= len(journal) || journal[i] != rec {
+				t.Fatalf("lookahead=%d: batched journal diverges from solo at %d", lookahead, i)
+			}
+			if rec.Name == stageParity {
+				parity++
+			}
+		}
+		if len(journal) != len(solo.journal) || parity == 0 {
+			t.Fatalf("lookahead=%d: journal lengths %d vs %d, %d parity stages",
+				lookahead, len(journal), len(solo.journal), parity)
+		}
+		opts.stageJournal = nil
+		for i, a := range ms {
+			sout, stau, _, err := QR(clusterSystem(4, 2), a.Clone(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, r, c := sout.MaxAbsDiff(outs[i]); d != 0 {
+				t.Fatalf("lookahead=%d item %d: not bit-identical to solo: |Δ|=%g at (%d,%d)", lookahead, i, d, r, c)
+			}
+			for j := range stau {
+				if stau[j] != taus[i][j] {
+					t.Fatalf("lookahead=%d item %d: tau %d differs", lookahead, i, j)
 				}
 			}
 		}
@@ -226,7 +270,8 @@ func TestBatchCorruptQueueInputIsolated(t *testing.T) {
 }
 
 // Batched runs reject the per-run control-flow options (checkpointing,
-// resume, fail-stop, Options.Injector) and malformed injector slices.
+// resume, fail-stop and node-fault plans, rebalancing, Options.Injector)
+// and malformed injector slices.
 func TestBatchOptionValidation(t *testing.T) {
 	const n = 32
 	ms := batchInputs("cholesky", 2, n)
@@ -245,6 +290,11 @@ func TestBatchOptionValidation(t *testing.T) {
 			o.FailStop = map[int]hetsim.FaultPlan{0: {}}
 			return nil
 		}},
+		{"nodefault", func(o *Options) []*fault.Injector {
+			o.NodeFault = map[int]hetsim.NodeFaultPlan{0: {}}
+			return nil
+		}},
+		{"rebalance", func(o *Options) []*fault.Injector { o.Rebalance.Every = 1; return nil }},
 		{"short-injs", func(o *Options) []*fault.Injector { return make([]*fault.Injector, 1) }},
 	}
 	for _, tc := range cases {
@@ -253,6 +303,31 @@ func TestBatchOptionValidation(t *testing.T) {
 		sys := testSystem(1)
 		if _, _, _, err := CholeskyBatch(sys, b, o, injs); err == nil {
 			t.Fatalf("%s: batched run accepted unsupported options", tc.name)
+		}
+	}
+}
+
+// A batch arms the options' fault plans once for the whole set: a one-shot
+// link corruption fires exactly once in a 3-item dispatch (re-arming it per
+// item would reset the link's transfer count and fire it for every item),
+// and the reliable-transfer protocol absorbs it so every item still matches
+// its solo factor.
+func TestBatchArmsLinkFaultOnce(t *testing.T) {
+	const n, count = 64, 3
+	ms := batchInputs("cholesky", count, n)
+	opts := batchOpts(0)
+	opts.LinkFault = map[int]hetsim.LinkFaultPlan{0: {Mode: hetsim.LinkCorrupt}}
+	fired := obs.Key(obs.MetricLinkFaults, "mode", "corrupt")
+	before := obs.Default().Snapshot()
+	outs, _, _ := runBatched(t, "cholesky", ms, testSystem(2), opts)
+	if got := obs.Default().Snapshot().Diff(before).CounterValue(fired); got != 1 {
+		t.Fatalf("one-shot link corruption fired %d times in one batch, want 1", got)
+	}
+	opts.LinkFault = nil
+	for i := range ms {
+		sout, _, _ := runSolo(t, "cholesky", ms[i], 2, opts)
+		if d, r, c := sout.MaxAbsDiff(outs[i]); d != 0 {
+			t.Fatalf("item %d not bit-identical to solo: |Δ|=%g at (%d,%d)", i, d, r, c)
 		}
 	}
 }

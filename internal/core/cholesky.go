@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"ftla/internal/blas"
 	"ftla/internal/checksum"
@@ -31,47 +30,12 @@ import (
 //	GPU_owner → all   L21 panel broadcast         (panelUpdate)
 //	all GPUs          TMU: A22 −= L21·L21ᵀ (full checksums maintained via
 //	                  the transposed-column-checksum trick of Fig. 2)
-func Cholesky(sys *hetsim.System, a *matrix.Dense, opts Options) (lret *matrix.Dense, rret *Result, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("core: Cholesky requires a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if err := opts.Validate(a.Rows); err != nil {
+func Cholesky(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, *Result, error) {
+	it, err := solo("cholesky", sys, a, opts, newCholLadder)
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := opts.ValidateTopology(sys); err != nil {
-		return nil, nil, err
-	}
-	// A fail-stop fault (or bound-context expiry) aborts the ladder from
-	// any kernel or transfer; surface it as the run's typed error. The
-	// system's partial state is the caller's to Reset.
-	defer func() {
-		if e := hetsim.RecoverAbort(recover()); e != nil {
-			lret, rret, err = nil, nil, e
-		}
-	}()
-	n := a.Rows
-	res := &Result{
-		N: n, NB: opts.NB, GPUs: sys.NumGPUs(),
-		Mode: opts.Mode, Scheme: opts.Scheme, Kernel: opts.Kernel,
-	}
-	es := newEngine("cholesky", sys, opts, res)
-	start := time.Now()
-	var p *protected
-	if cp := opts.Resume; cp != nil {
-		if err := cp.validateFor("cholesky", n, &opts); err != nil {
-			return nil, nil, err
-		}
-		p = allocProtectedFor(es, cp)
-	} else {
-		p = newProtected(es, a)
-	}
-	l := &cholLadder{p: p, es: es, pl: planFor(opts.Scheme), step: make([]*cholStep, p.nbr)}
-	if err := runLadder(es, l); err != nil {
-		return nil, nil, err
-	}
-	out := p.gather()
-	es.finishResult(start)
-	return out, res, nil
+	return it.out, it.es.res, nil
 }
 
 // cholStep is the staging state a Cholesky ladder step carries between its
@@ -93,10 +57,14 @@ type cholLadder struct {
 	err  error
 }
 
-func (l *cholLadder) steps() int         { return l.p.nbr }
-func (l *cholLadder) failed() error      { return l.err }
-func (l *cholLadder) layout() *protected { return l.p }
-func (l *cholLadder) panelPivot(int)     {}
+// newCholLadder builds the Cholesky ladder over the protected layout p.
+func newCholLadder(es *engineSys, p *protected) ladder {
+	return &cholLadder{p: p, es: es, pl: planFor(es.opts.Scheme), step: make([]*cholStep, p.nbr)}
+}
+
+func (l *cholLadder) steps() int     { return l.p.nbr }
+func (l *cholLadder) failed() error  { return l.err }
+func (l *cholLadder) panelPivot(int) {}
 
 // checkpoint snapshots the distributed state after step next-1; Cholesky
 // carries no per-step history beyond the matrix itself.

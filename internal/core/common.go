@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"ftla/internal/blas"
@@ -147,11 +148,17 @@ func (p *protected) verifyRepairColReport(workers int, data, chk *matrix.Dense, 
 	return repairCorrected, fixed
 }
 
-// newEngine bundles the run state for the named decomposition, snapshots
-// the flop counter so the result can report the run's own work, and arms
-// any fail-stop fault plans (devices) and link fault plans (PCIe links)
-// of the options on the system.
+// newEngine bundles the run state for the named decomposition and
+// snapshots the flop counter so the result can report the run's own work.
 func newEngine(decomp string, sys *hetsim.System, opts Options, res *Result) *engineSys {
+	return &engineSys{decomp: decomp, sys: sys, opts: opts, res: res, inj: opts.Injector, startFlops: blas.Flops()}
+}
+
+// armFaults arms the options' fail-stop plans (devices), link-fault plans
+// (PCIe links), and node-fault plans on the system — once per run set, so
+// a batch shares one plan per link rather than re-arming (and resetting)
+// it for every item.
+func armFaults(sys *hetsim.System, opts Options) {
 	for id, plan := range opts.FailStop {
 		switch {
 		case id == -1:
@@ -170,7 +177,96 @@ func newEngine(decomp string, sys *hetsim.System, opts Options, res *Result) *en
 			sys.ArmNodeFault(node, plan)
 		}
 	}
-	return &engineSys{decomp: decomp, sys: sys, opts: opts, res: res, inj: opts.Injector, startFlops: blas.Flops()}
+}
+
+// solo validates one square input and runs it as a set of one; the item's
+// own failure is the run's error.
+func solo(decomp string, sys *hetsim.System, a *matrix.Dense, opts Options, newLadder func(*engineSys, *protected) ladder) (*runItem, error) {
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("core: %s requires a square matrix, got %dx%d", decomp, a.Rows, a.Cols)
+	}
+	if err := opts.Validate(a.Rows); err != nil {
+		return nil, err
+	}
+	if err := opts.ValidateTopology(sys); err != nil {
+		return nil, err
+	}
+	if cp := opts.Resume; cp != nil {
+		if err := cp.validateFor(decomp, a.Rows, &opts); err != nil {
+			return nil, err
+		}
+	}
+	items, err := factorize(decomp, sys, opts, []*matrix.Dense{a}, nil, nil, false, newLadder)
+	if err != nil {
+		return nil, err
+	}
+	return items[0], items[0].err
+}
+
+// factorize is the one driver body behind Cholesky, LU, and QR and their
+// batched forms. It builds an engine, a protected layout (restored from
+// Options.Resume when set), and a ladder for every input on the shared
+// system — skipping items whose errs slot is already set — runs them as
+// one set (runLadder), and gathers each surviving item's factor. batched
+// selects the batched entry points' transfer coalescing for the build, the
+// panel sweeps, and the gather. A fail-stop abort voids the whole set and
+// comes back as err; an item's own failure stays in its err slot while its
+// siblings complete.
+func factorize(decomp string, sys *hetsim.System, opts Options, as []*matrix.Dense, injs []*fault.Injector,
+	errs []error, batched bool, newLadder func(*engineSys, *protected) ladder,
+) (items []*runItem, err error) {
+	// A fail-stop fault (or bound-context expiry) aborts the ladder from
+	// any kernel or transfer; surface it as the run's typed error. The
+	// system's partial state is the caller's to Reset.
+	defer func() {
+		if e := hetsim.RecoverAbort(recover()); e != nil {
+			items, err = nil, e
+		}
+	}()
+	start := time.Now()
+	armFaults(sys, opts)
+	items = make([]*runItem, len(as))
+	coalesced(sys, batched, func() {
+		for i, a := range as {
+			it := &runItem{}
+			items[i] = it
+			if errs != nil && errs[i] != nil {
+				it.err = errs[i]
+				continue
+			}
+			iopts := opts
+			if injs != nil {
+				iopts.Injector = injs[i]
+			}
+			it.es = newEngine(decomp, sys, iopts, &Result{
+				N: a.Rows, NB: opts.NB, GPUs: sys.NumGPUs(),
+				Mode: opts.Mode, Scheme: opts.Scheme, Kernel: opts.Kernel,
+			})
+			if cp := opts.Resume; cp != nil {
+				it.p = allocProtectedFor(it.es, cp)
+			} else {
+				it.p = newProtected(it.es, a)
+			}
+			it.l = newLadder(it.es, it.p)
+		}
+	})
+	journal := runLadder(sys, items, batched)
+	if opts.stageJournal != nil {
+		*opts.stageJournal = canonicalJournal(journal)
+	}
+	coalesced(sys, batched, func() {
+		for _, it := range items {
+			if it.err == nil {
+				it.out = it.p.gather()
+			}
+		}
+	})
+	for _, it := range items {
+		if it.err == nil {
+			it.es.finishResult(start)
+		}
+	}
+	return items, nil
 }
 
 // span opens a phase region and returns its closer; `defer es.span(...)()`

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"ftla/internal/blas"
 	"ftla/internal/checksum"
@@ -29,49 +28,12 @@ import (
 //	CPU → all GPUs    factored panel broadcast (+ checksums) (panelCommit)
 //	all GPUs          PU: U12 = L11⁻¹·A12 (row checksums ride the TRSM)
 //	all GPUs          TMU: A22 −= L21·U12 with full checksum maintenance
-func LU(sys *hetsim.System, a *matrix.Dense, opts Options) (lret *matrix.Dense, pret []int, rret *Result, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, nil, fmt.Errorf("core: LU requires a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if err := opts.Validate(a.Rows); err != nil {
+func LU(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, []int, *Result, error) {
+	it, err := solo("lu", sys, a, opts, newLULadder)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := opts.ValidateTopology(sys); err != nil {
-		return nil, nil, nil, err
-	}
-	// Fail-stop abort plumbing; see Cholesky.
-	defer func() {
-		if e := hetsim.RecoverAbort(recover()); e != nil {
-			lret, pret, rret, err = nil, nil, nil, e
-		}
-	}()
-	n := a.Rows
-	res := &Result{
-		N: n, NB: opts.NB, GPUs: sys.NumGPUs(),
-		Mode: opts.Mode, Scheme: opts.Scheme, Kernel: opts.Kernel,
-	}
-	es := newEngine("lu", sys, opts, res)
-	start := time.Now()
-	var p *protected
-	if cp := opts.Resume; cp != nil {
-		if err := cp.validateFor("lu", n, &opts); err != nil {
-			return nil, nil, nil, err
-		}
-		p = allocProtectedFor(es, cp)
-	} else {
-		p = newProtected(es, a)
-	}
-	l := &luLadder{
-		p: p, es: es, pl: planFor(opts.Scheme),
-		step: make([]*luStep, p.nbr),
-		piv:  make([]int, n),
-	}
-	if err := runLadder(es, l); err != nil {
-		return nil, nil, nil, err
-	}
-	out := p.gather()
-	es.finishResult(start)
-	return out, l.piv, res, nil
+	return it.out, it.l.(*luLadder).piv, it.es.res, nil
 }
 
 // luStep is the staging state an LU ladder step carries between stages:
@@ -95,9 +57,17 @@ type luLadder struct {
 	err  error
 }
 
-func (l *luLadder) steps() int         { return l.p.nbr }
-func (l *luLadder) failed() error      { return l.err }
-func (l *luLadder) layout() *protected { return l.p }
+// newLULadder builds the LU ladder over the protected layout p.
+func newLULadder(es *engineSys, p *protected) ladder {
+	return &luLadder{
+		p: p, es: es, pl: planFor(es.opts.Scheme),
+		step: make([]*luStep, p.nbr),
+		piv:  make([]int, p.n),
+	}
+}
+
+func (l *luLadder) steps() int    { return l.p.nbr }
+func (l *luLadder) failed() error { return l.err }
 
 // checkpoint snapshots the distributed state after step next-1 plus the
 // pivot history of the finished steps. Pivot entries beyond next·NB are

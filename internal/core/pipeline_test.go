@@ -141,31 +141,47 @@ func TestPipelineSchedulesAgree(t *testing.T) {
 
 // TestPipelineJournalCanonicalOrder: the canonical journal lists every step's
 // stages in ladder-rank order, and look-ahead's out-of-order panel-factor
-// recording is invisible after canonicalization.
+// recording is invisible after canonicalization. A batched run walks the
+// same DAG: a 3-item batch journals exactly the solo run's canonical
+// sequence, one entry per stage sweep, under both schedules.
 func TestPipelineJournalCanonicalOrder(t *testing.T) {
-	opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: 1}
-	pr := runPipeline(t, "cholesky", 96, 2, opts)
-	prev := stageRec{Step: -1}
-	for _, rec := range pr.journal {
-		if rec.Step < prev.Step {
-			t.Fatalf("journal step order violated: %v after %v", rec, prev)
+	for _, lookahead := range []int{0, 1} {
+		opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: lookahead}
+		pr := runPipeline(t, "cholesky", 96, 2, opts)
+		prev := stageRec{Step: -1}
+		for _, rec := range pr.journal {
+			if rec.Step < prev.Step {
+				t.Fatalf("lookahead=%d: journal step order violated: %v after %v", lookahead, rec, prev)
+			}
+			if rec.Step == prev.Step && stageRank[rec.Name] < stageRank[prev.Name] {
+				t.Fatalf("lookahead=%d: journal stage order violated: %v after %v", lookahead, rec, prev)
+			}
+			prev = rec
 		}
-		if rec.Step == prev.Step && stageRank[rec.Name] < stageRank[prev.Name] {
-			t.Fatalf("journal stage order violated: %v after %v", rec, prev)
+		// Every step must open with panel-factor and the non-final steps must
+		// close with tmu-finish.
+		steps := map[int]bool{}
+		for _, rec := range pr.journal {
+			if rec.Name == stagePanelFactor {
+				steps[rec.Step] = true
+			}
 		}
-		prev = rec
-	}
-	// Every step must open with panel-factor and the non-final steps must
-	// close with tmu-finish.
-	steps := map[int]bool{}
-	for _, rec := range pr.journal {
-		if rec.Name == stagePanelFactor {
-			steps[rec.Step] = true
+		for k := 0; k < 96/16; k++ {
+			if !steps[k] {
+				t.Fatalf("lookahead=%d: no panel-factor journaled for step %d", lookahead, k)
+			}
 		}
-	}
-	for k := 0; k < 96/16; k++ {
-		if !steps[k] {
-			t.Fatalf("no panel-factor journaled for step %d", k)
+
+		var batched []stageRec
+		opts.stageJournal = &batched
+		runBatched(t, "cholesky", batchInputs("cholesky", 3, 96), testSystem(2), opts)
+		if len(batched) != len(pr.journal) {
+			t.Fatalf("lookahead=%d: batched journal has %d stages, solo %d", lookahead, len(batched), len(pr.journal))
+		}
+		for i := range batched {
+			if batched[i] != pr.journal[i] {
+				t.Fatalf("lookahead=%d: batched journal diverges at %d: %v vs solo %v", lookahead, i, batched[i], pr.journal[i])
+			}
 		}
 	}
 }

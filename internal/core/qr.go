@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"time"
 
 	"ftla/internal/checksum"
 	"ftla/internal/fault"
@@ -29,49 +27,12 @@ import (
 //	CPU → all GPUs    panel + c(V) + T broadcast          (panelCommit)
 //	all GPUs          TMU: A₂ = (I − V·Tᵀ·Vᵀ)·A₂ with full checksums
 //	                  maintained from c(V) (Table III, red terms)
-func QR(sys *hetsim.System, a *matrix.Dense, opts Options) (qret *matrix.Dense, tret []float64, rret *Result, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, nil, fmt.Errorf("core: QR requires a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if err := opts.Validate(a.Rows); err != nil {
+func QR(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, []float64, *Result, error) {
+	it, err := solo("qr", sys, a, opts, newQRLadder)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := opts.ValidateTopology(sys); err != nil {
-		return nil, nil, nil, err
-	}
-	// Fail-stop abort plumbing; see Cholesky.
-	defer func() {
-		if e := hetsim.RecoverAbort(recover()); e != nil {
-			qret, tret, rret, err = nil, nil, nil, e
-		}
-	}()
-	n := a.Rows
-	res := &Result{
-		N: n, NB: opts.NB, GPUs: sys.NumGPUs(),
-		Mode: opts.Mode, Scheme: opts.Scheme, Kernel: opts.Kernel,
-	}
-	es := newEngine("qr", sys, opts, res)
-	start := time.Now()
-	var p *protected
-	if cp := opts.Resume; cp != nil {
-		if err := cp.validateFor("qr", n, &opts); err != nil {
-			return nil, nil, nil, err
-		}
-		p = allocProtectedFor(es, cp)
-	} else {
-		p = newProtected(es, a)
-	}
-	l := &qrLadder{
-		p: p, es: es, pl: planFor(opts.Scheme),
-		step: make([]*qrStep, p.nbr),
-		tau:  make([]float64, n),
-	}
-	if err := runLadder(es, l); err != nil {
-		return nil, nil, nil, err
-	}
-	out := p.gather()
-	es.finishResult(start)
-	return out, l.tau, res, nil
+	return it.out, it.l.(*qrLadder).tau, it.es.res, nil
 }
 
 // qrStep is the staging state a QR ladder step carries between stages: the
@@ -96,11 +57,19 @@ type qrLadder struct {
 	err  error
 }
 
-func (l *qrLadder) steps() int         { return l.p.nbr }
-func (l *qrLadder) failed() error      { return l.err }
-func (l *qrLadder) layout() *protected { return l.p }
-func (l *qrLadder) panelPivot(int)     {}
-func (l *qrLadder) panelUpdate(int)    {}
+// newQRLadder builds the Householder QR ladder over the protected layout p.
+func newQRLadder(es *engineSys, p *protected) ladder {
+	return &qrLadder{
+		p: p, es: es, pl: planFor(es.opts.Scheme),
+		step: make([]*qrStep, p.nbr),
+		tau:  make([]float64, p.n),
+	}
+}
+
+func (l *qrLadder) steps() int      { return l.p.nbr }
+func (l *qrLadder) failed() error   { return l.err }
+func (l *qrLadder) panelPivot(int)  {}
+func (l *qrLadder) panelUpdate(int) {}
 
 // checkpoint snapshots the distributed state after step next-1 plus the
 // Householder scalars of the finished steps. Entries beyond next·NB are

@@ -59,14 +59,6 @@ var (
 		"device")
 )
 
-// rebalancer is the optional ladder capability the step runtime probes for:
-// a ladder that exposes its protected layout can have its trailing columns
-// repartitioned. The batched drivers don't implement it (their slabs
-// interleave many small problems), so rebalancing is silently inert there.
-type rebalancer interface {
-	layout() *protected
-}
-
 // rebEWMA is the smoothing factor of the per-column cost estimator: the
 // newest sample and the history weigh equally, so a 4× straggler dominates
 // the estimate within ~two samples while one noisy step cannot.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ftla/internal/hetsim"
+	"ftla/internal/matrix"
 )
 
 // The step runtime.
@@ -16,6 +17,12 @@ import (
 // and fault-injection windows woven between the stages by the checking
 // scheme. The drivers express one iteration as the typed stages of the
 // ladder interface; runLadder owns the schedule.
+//
+// runLadder drives a *set* of ladders on one system: a solo run is a set of
+// one, a batched dispatch a set of many same-shape items. Every stage
+// sweeps the live items in item order as one journaled stage, so a batch
+// walks exactly the DAG a solo run walks; only the batched entry points
+// wrap the transfer-bearing sweeps in coalescing windows (see coalesced).
 //
 // Two schedules exist. The serial schedule (Options.Lookahead <= 0)
 // executes the stages of step k strictly in order before starting step
@@ -96,7 +103,8 @@ type ladder interface {
 	// should release step k's staging state.
 	tmuFinish(k int)
 	// failed reports a non-abort driver error (e.g. a panel factorization
-	// that failed after its local restart); runLadder stops on it.
+	// that failed after its local restart); runLadder drops the item from
+	// the set on it.
 	failed() error
 	// checkpoint snapshots the factorization state into a host-side
 	// Checkpoint that resumes from step next. Called by the runtime only
@@ -166,14 +174,34 @@ var stageRank = map[string]int{
 // the serving layer's complete restart takes over.
 const maxRollbacksPerCheckpoint = 2
 
-// stepRuntime schedules a ladder across the simulated system.
+// runItem is one member of a run set: its engine (options, injector,
+// Result), protected layout, ladder, and error slot. Items share the
+// system and the schedule, nothing else; out holds the gathered factor once
+// the run completes.
+type runItem struct {
+	es  *engineSys
+	p   *protected
+	l   ladder
+	out *matrix.Dense
+	err error
+}
+
+// stepRuntime schedules a set of ladders across one simulated system.
 type stepRuntime struct {
-	es       *engineSys
-	l        ladder
+	sys      *hetsim.System
+	decomp   string
+	items    []*runItem
+	batched  bool
 	depth    int
 	streams  []*hetsim.Stream
 	factored []bool
 	journal  []stageRec
+
+	// one is the set's only item, nil for batched sets of several. Resume,
+	// rollback, checkpoints, and rebalancing steer the whole schedule from
+	// one item's state, so they belong to sets of one (validateBatchOpts
+	// rejects the options that arm them).
+	one *runItem
 
 	// lastCP is the most recent known-clean checkpoint (the Resume option's
 	// checkpoint until the first in-run snapshot replaces it); rollbacks
@@ -182,34 +210,24 @@ type stepRuntime struct {
 	rollbacks int
 
 	// reb is the dynamic repartitioner, nil unless Options.Rebalance is
-	// armed, the ladder exposes its layout, no injector is attached, and
-	// the system holds at least two GPUs (see initRebalance).
+	// armed, no injector is attached, and the system holds at least two
+	// GPUs (see initRebalance).
 	reb *rebState
-
-	// coded is the cross-node erasure redundancy of the ladder's layout,
-	// nil on flat systems or for ladders that expose no layout.
-	coded *codedState
 }
 
-// initRebalance arms the rebalancer when the configuration and ladder
-// allow it: Rebalance.Every > 0, at least two GPUs (nothing to re-split
-// otherwise), no fault injector (injection windows address regions by the
-// static layout — the same reason overlapDepth forces the serial
-// schedule), and a ladder that exposes its protected layout (the batched
-// drivers don't). Multi-node topologies rebalance too: the parity-aware
-// migration protocol (rebState.filterLegal / codedState.rehomeParity)
-// keeps the erasure code's one-column-per-node-per-group placement intact
-// across moves, so the ban PR 9 imposed is lifted.
+// initRebalance arms the rebalancer when the configuration allows it:
+// Rebalance.Every > 0, at least two GPUs (nothing to re-split otherwise),
+// and no fault injector (injection windows address regions by the static
+// layout — the same reason overlapDepth forces the serial schedule).
+// Multi-node topologies rebalance too: the parity-aware migration protocol
+// (rebState.filterLegal / codedState.rehomeParity) keeps the erasure code's
+// one-column-per-node-per-group placement intact across moves.
 func (rt *stepRuntime) initRebalance() {
-	es := rt.es
+	es := rt.one.es
 	if es.opts.Rebalance.Every <= 0 || es.inj != nil || es.sys.NumGPUs() < 2 {
 		return
 	}
-	rl, ok := rt.l.(rebalancer)
-	if !ok {
-		return
-	}
-	rt.reb = newRebState(es, rl.layout())
+	rt.reb = newRebState(es, rt.one.p)
 }
 
 // maybeRebalance, called after step k's verification and checkpoint
@@ -217,7 +235,7 @@ func (rt *stepRuntime) initRebalance() {
 // interval says so. The stage is journaled only when columns actually
 // move, so a decision that confirms the current layout leaves no trace.
 func (rt *stepRuntime) maybeRebalance(k int) {
-	if rt.reb == nil || (k+1)%rt.es.opts.Rebalance.Every != 0 {
+	if rt.reb == nil || (k+1)%rt.one.es.opts.Rebalance.Every != 0 {
 		return
 	}
 	moves := rt.reb.plan(k)
@@ -228,27 +246,40 @@ func (rt *stepRuntime) maybeRebalance(k int) {
 }
 
 // maybeParity, run after step k's verification concluded clean, re-encodes
-// the parity of every group still holding trailing columns (see
-// codedState.refresh). Journaled as its own stage so serial and look-ahead
-// schedules compare equal.
+// the parity of every group still holding trailing columns, for every live
+// item whose layout carries redundancy (see codedState.refresh). Journaled
+// as one stage so serial and look-ahead schedules compare equal.
 func (rt *stepRuntime) maybeParity(k int) {
-	if rt.coded == nil || rt.coded.exhausted() {
+	coded := func(it *runItem) bool {
+		return it.err == nil && it.p.coded != nil && !it.p.coded.exhausted()
+	}
+	need := false
+	for _, it := range rt.items {
+		need = need || coded(it)
+	}
+	if !need {
 		return
 	}
-	rt.stage(k, stageParity, func() { rt.coded.refresh(k) })
+	rt.stage(k, stageParity, func() {
+		for _, it := range rt.items {
+			if coded(it) {
+				it.p.coded.refresh(k)
+			}
+		}
+	})
 }
 
-// handleNodeLoss reacts to the node faults fired at one epoch boundary —
-// possibly a simultaneous multi-node burst. When the layout carries enough
-// surviving erasure redundancy, the lost columns are rebuilt from parity
-// and the run continues degraded on the surviving nodes; otherwise the
-// typed NodeLostError surfaces to the driver boundary (the serving layer's
-// failover ladder takes over, engaging only once redundancy is truly
-// spent). Counted on Result either way.
-func (rt *stepRuntime) handleNodeLoss(nodes []int) error {
-	es := rt.es
+// handleNodeLoss reacts, for one item, to the node faults fired at one
+// epoch boundary — possibly a simultaneous multi-node burst. When the
+// item's layout carries enough surviving erasure redundancy, the lost
+// columns are rebuilt from parity and the run continues degraded on the
+// surviving nodes; otherwise the typed NodeLostError surfaces as the item's
+// error (the serving layer's failover ladder takes over, engaging only once
+// redundancy is truly spent). Counted on the item's Result either way.
+func handleNodeLoss(it *runItem, nodes []int) error {
+	es := it.es
 	es.res.NodesLost += len(nodes)
-	if rt.coded == nil {
+	if it.p.coded == nil {
 		gpus := 0
 		for g := 0; g < es.sys.NumGPUs(); g++ {
 			if es.sys.NodeOf(g) == nodes[0] {
@@ -257,11 +288,11 @@ func (rt *stepRuntime) handleNodeLoss(nodes []int) error {
 		}
 		return &hetsim.NodeLostError{Node: nodes[0], GPUs: gpus, Op: "reconstruct"}
 	}
-	n, err := rt.coded.reconstructNodes(nodes)
+	n, err := it.p.coded.reconstructNodes(nodes)
 	if err != nil {
 		return err
 	}
-	rt.es.res.Reconstructions += n
+	es.res.Reconstructions += n
 	return nil
 }
 
@@ -275,28 +306,60 @@ func (es *engineSys) overlapDepth() int {
 	return 1
 }
 
-// runLadder executes the ladder under the configured schedule. A fail-stop
-// abort panics through (after stream cleanup) to the driver boundary's
-// RecoverAbort; a driver error surfaces as the return value.
-func runLadder(es *engineSys, l ladder) error {
-	rt := &stepRuntime{
-		es:       es,
-		l:        l,
-		depth:    es.overlapDepth(),
-		factored: make([]bool, l.steps()),
+// coalesced runs body inside one hetsim transfer-coalescing window when on
+// is set and plainly otherwise. The batched entry points set it: their
+// build, panel, and gather sweeps then pay each link's PCIe latency once
+// per window rather than once per item. Solo entry points never do, so a
+// solo run keeps its per-transfer charges.
+func coalesced(sys *hetsim.System, on bool, body func()) {
+	if on {
+		sys.CoalesceTransfers(body)
+		return
 	}
+	body()
+}
+
+// runLadder executes a set of ladders — one per item, all of the same
+// order and block size — under one schedule on one system. A solo run is a
+// set of one. Each stage of step k sweeps the live items in item order
+// before the next stage begins, journaled and traced as one stage; the
+// panel-factor, panel-commit, and panel-update sweeps are the transfer-
+// bearing ones and run coalesced when batched is set. The schedule is
+// shared: the look-ahead depth is the minimum over the live items, one node
+// epoch runs per step, and one tmu-rest stream closure per live GPU covers
+// every live item. An item whose ladder fails is flagged in its err slot
+// and skipped from then on while its siblings run to completion; the run
+// ends early once no item is live. A fail-stop abort panics through (after
+// stream cleanup) to the driver boundary's RecoverAbort and voids the set.
+// It returns the stage journal in execution order (see canonicalJournal).
+func runLadder(sys *hetsim.System, items []*runItem, batched bool) []stageRec {
+	rt := &stepRuntime{sys: sys, items: items, batched: batched, depth: 1}
 	defer rt.close()
-	nbr := l.steps()
-	G := es.sys.NumGPUs()
-	start := 0
-	if cp := es.opts.Resume; cp != nil {
-		rt.stage(cp.NextStep, stageResume, func() { l.resume(cp) })
-		rt.lastCP = cp
-		start = cp.NextStep
+	nbr := 0
+	for _, it := range items {
+		if it.err != nil {
+			continue
+		}
+		rt.decomp, nbr = it.es.decomp, it.l.steps()
+		rt.depth = min(rt.depth, it.es.overlapDepth())
 	}
-	rt.initRebalance()
-	if rl, ok := l.(rebalancer); ok {
-		rt.coded = rl.layout().coded
+	if nbr == 0 {
+		return nil // no live items
+	}
+	rt.factored = make([]bool, nbr)
+	if len(items) == 1 {
+		rt.one = items[0]
+	}
+	G := sys.NumGPUs()
+	start := 0
+	if rt.one != nil {
+		l := rt.one.l
+		if cp := rt.one.es.opts.Resume; cp != nil {
+			rt.stage(cp.NextStep, stageResume, func() { l.resume(cp) })
+			rt.lastCP = cp
+			start = cp.NextStep
+		}
+		rt.initRebalance()
 	}
 	// A run entering with suspects (a quarantine-released straggler on
 	// probation) is repartitioned before the first step: the suspect
@@ -307,25 +370,31 @@ func runLadder(es *engineSys, l ladder) error {
 	for k := start; k < nbr; k++ {
 		// Node-loss epoch boundary: streams are joined and device state is
 		// quiescent here, so a fired whole-node fault is absorbed by
-		// erasure-coded reconstruction (or surfaces as the typed error when
-		// no redundancy remains) before any stage touches the dead GPUs.
-		if nodes := es.sys.NodeEpoch(); len(nodes) > 0 {
-			var nerr error
-			rt.stage(k, stageNodeLoss, func() { nerr = rt.handleNodeLoss(nodes) })
-			if nerr != nil {
-				return nerr
+		// erasure-coded reconstruction (or surfaces as the item's typed
+		// error when no redundancy remains) before any stage touches the
+		// dead GPUs.
+		if nodes := sys.NodeEpoch(); len(nodes) > 0 {
+			rt.stage(k, stageNodeLoss, func() {
+				for _, it := range rt.items {
+					if it.err == nil {
+						it.err = handleNodeLoss(it, nodes)
+					}
+				}
+			})
+			if !rt.live() {
+				break
 			}
 		}
 		if !rt.factored[k] {
-			rt.stage(k, stagePanelFactor, func() { l.panelFactor(k) })
-			if err := l.failed(); err != nil {
-				return err
+			rt.sweep(k, stagePanelFactor, true, func(l ladder) { l.panelFactor(k) })
+			if !rt.harvest() {
+				break
 			}
 		}
-		rt.stage(k, stagePanelPivot, func() { l.panelPivot(k) })
-		rt.stage(k, stagePanelCommit, func() { l.panelCommit(k) })
-		if err := l.failed(); err != nil {
-			return err
+		rt.sweep(k, stagePanelPivot, false, func(l ladder) { l.panelPivot(k) })
+		rt.sweep(k, stagePanelCommit, true, func(l ladder) { l.panelCommit(k) })
+		if !rt.harvest() {
+			break
 		}
 		if rt.maybeRollback(&k) {
 			continue
@@ -333,8 +402,8 @@ func runLadder(es *engineSys, l ladder) error {
 		if k == nbr-1 {
 			break
 		}
-		rt.stage(k, stagePanelUpdate, func() { l.panelUpdate(k) })
-		rt.stage(k, stageTMUBegin, func() { l.tmuBegin(k) })
+		rt.sweep(k, stagePanelUpdate, true, func(l ladder) { l.panelUpdate(k) })
+		rt.sweep(k, stageTMUBegin, false, func(l ladder) { l.tmuBegin(k) })
 		// The rebalancer brackets the TMU with busy-time samples: device
 		// SimTime accumulates kernel work only, so the bracket captures
 		// the identical kernel set under both schedules (the look-ahead
@@ -345,28 +414,33 @@ func runLadder(es *engineSys, l ladder) error {
 			// Look-ahead: update the next panel's column synchronously,
 			// launch the remainder onto per-GPU streams, factorize panel
 			// k+1 on the CPU while they run, then join.
-			rt.stage(k, stageTMU, func() {
+			rt.sweep(k, stageTMU, false, func(l ladder) {
 				for g := 0; g < G; g++ {
 					l.tmuGPU(k, g, tmuLookahead)
 				}
 			})
-			evs := rt.launchRest(k)
-			rt.stage(k+1, stagePanelFactor, func() { l.panelFactor(k + 1) })
+			live := rt.liveLadders()
+			evs := rt.launch(func(g int) {
+				for _, l := range live {
+					l.tmuGPU(k, g, tmuRest)
+				}
+			})
+			rt.sweep(k+1, stagePanelFactor, true, func(l ladder) { l.panelFactor(k + 1) })
 			rt.factored[k+1] = true
 			for _, ev := range evs {
 				ev.Wait()
 			}
 		} else {
-			rt.stage(k, stageTMU, func() {
+			rt.sweep(k, stageTMU, false, func(l ladder) {
 				for g := 0; g < G; g++ {
 					l.tmuGPU(k, g, tmuAll)
 				}
 			})
 		}
 		rt.reb.endSample(k)
-		rt.stage(k, stageTMUFinish, func() { l.tmuFinish(k) })
-		if err := l.failed(); err != nil {
-			return err
+		rt.sweep(k, stageTMUFinish, false, func(l ladder) { l.tmuFinish(k) })
+		if !rt.harvest() {
+			break
 		}
 		if rt.maybeRollback(&k) {
 			continue
@@ -375,10 +449,56 @@ func runLadder(es *engineSys, l ladder) error {
 		rt.maybeCheckpoint(k)
 		rt.maybeRebalance(k)
 	}
-	if es.opts.stageJournal != nil {
-		*es.opts.stageJournal = rt.canonicalJournal()
+	return rt.journal
+}
+
+// sweep runs one stage of step k across every live item, in item order, as
+// a single journaled stage. Transfer-bearing stages pass coalesce: in a
+// batched set they run inside one transfer-coalescing window.
+func (rt *stepRuntime) sweep(k int, name string, coalesce bool, fn func(l ladder)) {
+	rt.stage(k, name, func() {
+		coalesced(rt.sys, coalesce && rt.batched, func() {
+			for _, it := range rt.items {
+				if it.err == nil {
+					fn(it.l)
+				}
+			}
+		})
+	})
+}
+
+// harvest moves every live item's ladder error into its slot and reports
+// whether any item is still live.
+func (rt *stepRuntime) harvest() bool {
+	for _, it := range rt.items {
+		if it.err == nil {
+			it.err = it.l.failed()
+		}
 	}
-	return nil
+	return rt.live()
+}
+
+// live reports whether any item of the set is still running.
+func (rt *stepRuntime) live() bool {
+	for _, it := range rt.items {
+		if it.err == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// liveLadders snapshots the ladders of the live items, the set a launched
+// stream closure may touch without reading the error slots the
+// coordinator owns.
+func (rt *stepRuntime) liveLadders() []ladder {
+	ls := make([]ladder, 0, len(rt.items))
+	for _, it := range rt.items {
+		if it.err == nil {
+			ls = append(ls, it.l)
+		}
+	}
+	return ls
 }
 
 // maybeCheckpoint snapshots the state after step k when the checkpoint
@@ -386,13 +506,16 @@ func runLadder(es *engineSys, l ladder) error {
 // declared it unrecoverable). The last step never checkpoints — runLadder's
 // loop breaks before reaching here.
 func (rt *stepRuntime) maybeCheckpoint(k int) {
-	es := rt.es
+	if rt.one == nil {
+		return
+	}
+	es := rt.one.es
 	every := es.opts.CheckpointEvery
 	if every <= 0 || es.res.Unrecoverable || (k+1)%every != 0 {
 		return
 	}
 	var cp *Checkpoint
-	rt.stage(k, stageCheckpoint, func() { cp = rt.l.checkpoint(k + 1) })
+	rt.stage(k, stageCheckpoint, func() { cp = rt.one.l.checkpoint(k + 1) })
 	cp.seal()
 	rt.lastCP = cp
 	rt.rollbacks = 0
@@ -413,8 +536,11 @@ func (rt *stepRuntime) maybeCheckpoint(k int) {
 // maxRollbacksPerCheckpoint replays made no progress) the unrecoverable
 // verdict stands and the run completes as before.
 func (rt *stepRuntime) maybeRollback(k *int) bool {
-	es := rt.es
-	if !es.res.Unrecoverable || rt.lastCP == nil || rt.rollbacks >= maxRollbacksPerCheckpoint {
+	if rt.one == nil || rt.lastCP == nil || rt.rollbacks >= maxRollbacksPerCheckpoint {
+		return false
+	}
+	es := rt.one.es
+	if !es.res.Unrecoverable {
 		return false
 	}
 	if err := rt.lastCP.verifyIntegrity(); err != nil {
@@ -427,7 +553,7 @@ func (rt *stepRuntime) maybeRollback(k *int) bool {
 		return false
 	}
 	cp := rt.lastCP
-	rt.stage(*k, stageRollback, func() { rt.l.resume(cp) })
+	rt.stage(*k, stageRollback, func() { rt.one.l.resume(cp) })
 	rt.rollbacks++
 	es.res.Unrecoverable = false
 	es.res.Rollbacks++
@@ -440,36 +566,41 @@ func (rt *stepRuntime) maybeRollback(k *int) bool {
 	return true
 }
 
-// stage runs one coordinator-side stage: journal it, emit a wall span on
-// the attached tracer, and execute.
+// stage runs one coordinator-side stage: journal it, execute, and emit a
+// wall span when a tracer is attached to the system.
 func (rt *stepRuntime) stage(k int, name string, fn func()) {
 	rt.journal = append(rt.journal, stageRec{Step: k, Name: name})
+	tr := rt.sys.Tracer()
+	if tr == nil {
+		fn()
+		return
+	}
 	t0 := time.Now()
 	fn()
-	rt.es.sys.Tracer().WallSpan(fmt.Sprintf("%s:%s[%d]", rt.es.decomp, name, k), "stage", t0, time.Since(t0))
+	tr.WallSpan(fmt.Sprintf("%s:%s[%d]", rt.decomp, name, k), "stage", t0, time.Since(t0))
 }
 
-// launchRest enqueues every live GPU's remaining trailing-update slice onto
-// its stream and returns the per-stream completion events. The TMU stage
-// was already journaled by the synchronous look-ahead slice. GPUs taken
-// down by a node loss are skipped — their slices are empty (the
+// launch enqueues body(g) — GPU g's remaining trailing-update slice — onto
+// every live GPU's stream and returns the per-stream completion events. The
+// TMU stage was already journaled by the synchronous look-ahead slice. GPUs
+// taken down by a node loss are skipped — their slices are empty (the
 // reconstruction emptied their ownership tables) and launching on a dead
 // device would abort the run the redundancy just saved.
-func (rt *stepRuntime) launchRest(k int) []*hetsim.StreamEvent {
-	G := rt.es.sys.NumGPUs()
+func (rt *stepRuntime) launch(body func(g int)) []*hetsim.StreamEvent {
+	G := rt.sys.NumGPUs()
 	if rt.streams == nil {
 		rt.streams = make([]*hetsim.Stream, G)
 		for g := 0; g < G; g++ {
-			rt.streams[g] = rt.es.sys.GPU(g).NewStream()
+			rt.streams[g] = rt.sys.GPU(g).NewStream()
 		}
 	}
 	evs := make([]*hetsim.StreamEvent, 0, G)
 	for g := 0; g < G; g++ {
-		if rt.es.sys.GPU(g).Lost() {
+		if rt.sys.GPU(g).Lost() {
 			continue
 		}
 		g := g
-		rt.streams[g].Launch("tmu-rest", func() { rt.l.tmuGPU(k, g, tmuRest) })
+		rt.streams[g].Launch("tmu-rest", func() { body(g) })
 		evs = append(evs, rt.streams[g].Record())
 	}
 	return evs
@@ -487,20 +618,18 @@ func (rt *stepRuntime) close() {
 	}
 }
 
-// canonicalJournal returns the journal sorted into dependency order:
-// by step, then by ladder stage rank. The look-ahead schedule records
+// canonicalJournal sorts a journal in place into dependency order: by
+// step, then by ladder stage rank. The look-ahead schedule records
 // panel-factor(k+1) between step k's TMU and its finish; canonicalization
 // restores the ladder order so the two schedules compare equal.
-func (rt *stepRuntime) canonicalJournal() []stageRec {
-	out := make([]stageRec, len(rt.journal))
-	copy(out, rt.journal)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Step != out[j].Step {
-			return out[i].Step < out[j].Step
+func canonicalJournal(journal []stageRec) []stageRec {
+	sort.SliceStable(journal, func(i, j int) bool {
+		if journal[i].Step != journal[j].Step {
+			return journal[i].Step < journal[j].Step
 		}
-		return stageRank[out[i].Name] < stageRank[out[j].Name]
+		return stageRank[journal[i].Name] < stageRank[journal[j].Name]
 	})
-	return out
+	return journal
 }
 
 // transfer moves src to dst over PCIe via the reliable protocol: the

@@ -253,47 +253,61 @@ func TestBatchLingerGathersLateArrivals(t *testing.T) {
 }
 
 // Jobs with per-run control flow (deadlines, traces, checkpoints,
-// fail-stop plans) never coalesce: they keep the solo path and its full
-// retry machinery.
+// fail-stop and link-fault plans) never coalesce: they keep the solo path
+// and its full retry machinery. A link-fault plan in particular names one
+// job's links; a coalesced dispatch arms only the leader's config, so a
+// batchmate would lose its plan or inherit the leader's.
 func TestBatchIneligibleSpecsStaySolo(t *testing.T) {
-	s := New(Config{Workers: 1, BatchMax: 8})
-	defer s.Close()
-	claimed, release := gateWorker(s)
+	for _, tc := range []struct {
+		name string
+		mut  func(spec *JobSpec)
+	}{
+		{"trace", func(spec *JobSpec) { spec.Trace = true }},
+		{"linkfault", func(spec *JobSpec) {
+			spec.Config.LinkFault = map[int]ftla.LinkFaultPlan{0: {Mode: ftla.LinkDegrade, Factor: 2}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Workers: 1, BatchMax: 8})
+			defer s.Close()
+			claimed, release := gateWorker(s)
 
-	solo := JobSpec{
-		Decomp:  Cholesky,
-		A:       ftla.RandomSPD(64, 1),
-		Config:  ftla.Config{GPUs: 1, NB: 32},
-		NoCache: true,
-		Trace:   true, // per-job trace scope: ineligible
-	}
-	blocker, err := s.Submit(context.Background(), solo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-claimed
-	hA, err := s.Submit(context.Background(), solo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hB, err := s.Submit(context.Background(), solo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	release()
-	for _, h := range []*JobHandle{blocker, hA, hB} {
-		res, err := h.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Coalesced != 0 {
-			t.Fatalf("traced job coalesced = %d, want solo", res.Coalesced)
-		}
-		if res.Trace == nil {
-			t.Fatal("traced job lost its trace")
-		}
-	}
-	if st := s.Stats(); st.BatchDispatches != 0 {
-		t.Fatalf("BatchDispatches = %d, want 0", st.BatchDispatches)
+			spec := JobSpec{
+				Decomp:  Cholesky,
+				A:       ftla.RandomSPD(64, 1),
+				Config:  ftla.Config{GPUs: 1, NB: 32},
+				NoCache: true,
+			}
+			tc.mut(&spec)
+			blocker, err := s.Submit(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-claimed
+			hA, err := s.Submit(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hB, err := s.Submit(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+			for _, h := range []*JobHandle{blocker, hA, hB} {
+				res, err := h.Wait(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Coalesced != 0 {
+					t.Fatalf("%s job coalesced = %d, want solo", tc.name, res.Coalesced)
+				}
+				if spec.Trace && res.Trace == nil {
+					t.Fatal("traced job lost its trace")
+				}
+			}
+			if st := s.Stats(); st.BatchDispatches != 0 {
+				t.Fatalf("BatchDispatches = %d, want 0", st.BatchDispatches)
+			}
+		})
 	}
 }

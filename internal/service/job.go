@@ -144,14 +144,17 @@ func (s *JobSpec) tol() float64 {
 
 // batchable reports whether the job may share a coalesced batched dispatch
 // with others of the same batchKey. Per-run control flow the batched
-// drivers cannot share — fail-stop and node-fault plans, checkpointing,
-// resume, dynamic rebalancing — and per-job observation scopes (Trace, Deadline) keep a
-// job on the solo path. A fault Injector is batchable: the batched drivers
-// carry injectors per item, which is exactly what the retry-isolation
-// contract exercises (one injected item must not disturb its batchmates).
+// drivers cannot share — fail-stop, link-fault, and node-fault plans,
+// checkpointing, resume, dynamic rebalancing — and per-job observation
+// scopes (Trace, Deadline) keep a job on the solo path. Link-fault plans
+// are per job but a dispatch arms one shared Config, so a batchmate would
+// lose its plan or inherit the leader's. A fault Injector is batchable:
+// the batched drivers carry injectors per item, which is exactly what the
+// retry-isolation contract exercises (one injected item must not disturb
+// its batchmates).
 func (s *JobSpec) batchable() bool {
 	c := s.Config
-	return len(c.FailStop) == 0 && len(c.NodeFault) == 0 &&
+	return len(c.FailStop) == 0 && len(c.LinkFault) == 0 && len(c.NodeFault) == 0 &&
 		c.CheckpointEvery == 0 && c.OnCheckpoint == nil && c.Resume == nil &&
 		c.Rebalance.Every == 0 &&
 		!s.Trace && s.Deadline == 0
