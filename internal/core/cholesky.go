@@ -194,7 +194,6 @@ func (l *cholLadder) panelUpdate(k int) {
 	nbr := p.nbr
 	n := p.n
 	o := k * nb
-	G := sys.NumGPUs()
 	gk := p.owner(k)
 	gdevK := sys.GPU(gk)
 	chk := es.opts.Mode != NoChecksum
@@ -282,25 +281,9 @@ func (l *cholLadder) panelUpdate(k int) {
 		chkRows = 2 // placeholder stage, never read
 	}
 	st.stages = p.allocStages(m2, chkRows, nb)
+	pieces := stagePieces(st.stages, pnl, pnlChk, nil, nil)
 	doBroadcast := func() {
-		es.withCommContext(k, fault.PU, o+nb, o, func() {
-			for g := 0; g < G; g++ {
-				if !p.gpuLive(g) {
-					continue
-				}
-				if g == gk {
-					copyWithin(gdevK, pnl, st.stages[g].data)
-					if chk {
-						copyWithin(gdevK, pnlChk, st.stages[g].chk)
-					}
-					continue
-				}
-				es.transfer(pnl, st.stages[g].data)
-				if chk {
-					es.transfer(pnlChk, st.stages[g].chk)
-				}
-			}
-		})
+		es.withCommContext(k, fault.PU, o+nb, o, func() { es.broadcast(pieces) })
 	}
 	doBroadcast()
 	if pl.afterPUBcast && chk {

@@ -48,13 +48,15 @@ import (
 // only accepted toward a node holding one of the group's parities, which is
 // then re-encoded on the donor's node (codedState.rehomeParity).
 //
-// Maintenance. Every live parity is refreshed at the end of every ladder
-// step for all groups still holding a column >= k (full height: §VII.B
-// repair paths may rewrite any row of a trailing column), and finalized
-// groups — whose columns only change under LU row interchanges — track the
-// swaps exactly by swapping the same parity rows (the code is row-local). A
-// rollback restores data from the checkpoint and re-encodes all surviving
-// parity (checkpoints do not carry it).
+// Maintenance. Every live parity of a group still holding a column >= k is
+// refreshed at the end of ladder step k, rows [k·nb, n) only: step k writes
+// no row above k·nb, and the code is row-local, so the rows above keep
+// their encoding. A step in which verification repaired anything refreshes
+// at full height instead (§VII.B repair paths may rewrite any row of a
+// column; see repairWork). Finalized groups — whose columns only change
+// under LU row interchanges — track the swaps exactly by swapping the same
+// parity rows. A rollback restores data from the checkpoint and re-encodes
+// all surviving parity at full height (checkpoints do not carry it).
 //
 // Reconstruction. At a node-loss epoch the runtime calls reconstructNodes
 // with every node that died at that boundary (simultaneous losses fire
@@ -126,6 +128,16 @@ type codedState struct {
 	// nodesLost counts the node losses this state absorbed, for the
 	// spent/remaining metric labels.
 	nodesLost int
+	// repairs is the item's repairWork tally at the last refresh; a refresh
+	// that finds it moved re-encodes at full height.
+	repairs int
+}
+
+// repairWork sums the recovery counters that move whenever verification
+// rewrote data. A §VII.B repair may rewrite any row of a column, so a step
+// in which this sum moved cannot use the changed-rows refresh.
+func repairWork(c *Counter) int {
+	return c.DetectedErrors + c.CorrectedElements + c.ReconstructedLins + c.LocalRestarts + c.Rebroadcasts
 }
 
 // redundancyOf resolves the Options.Redundancy knob against the topology:
@@ -207,11 +219,12 @@ func (cs *codedState) stageBuf(g int) *hetsim.Buffer {
 	return b
 }
 
-// ship moves a parity-layer column between devices over the reliable
-// cross-node wrapper and counts its bytes on the parity-traffic meter.
+// ship moves a parity-layer column (or a row range of one) between devices
+// over the reliable cross-node wrapper and counts its bytes on the
+// parity-traffic meter.
 func (cs *codedState) ship(src, dst *hetsim.Buffer) {
 	cs.p.es.netTransfer(src, dst)
-	parityBytesTotal.Add(uint64(8 * cs.p.n * cs.p.nb))
+	parityBytesTotal.Add(uint64(8 * src.Rows() * src.Cols()))
 }
 
 // axpyInto folds c·src into dst over the float bit patterns (dst ^= c·src
@@ -219,7 +232,7 @@ func (cs *codedState) ship(src, dst *hetsim.Buffer) {
 // identity and the kernel is the plain XOR of the r = 1 code.
 func (cs *codedState) axpyInto(dev *hetsim.Device, dst, src *hetsim.Buffer, c byte) {
 	t := cs.table(c)
-	cs.p.es.kernel(dev, "parity-axpy", float64(cs.p.n*cs.p.nb), func(int) {
+	cs.p.es.kernel(dev, "parity-axpy", float64(dst.Rows()*dst.Cols()), func(int) {
 		d, s := dst.Access(dev), src.Access(dev)
 		for i := 0; i < d.Rows; i++ {
 			dr, sr := d.Row(i), s.Row(i)
@@ -234,7 +247,7 @@ func (cs *codedState) axpyInto(dev *hetsim.Device, dst, src *hetsim.Buffer, c by
 // patterns), both resident on dev.
 func (cs *codedState) scaleInto(dev *hetsim.Device, dst, src *hetsim.Buffer, c byte) {
 	t := cs.table(c)
-	cs.p.es.kernel(dev, "parity-scale", float64(cs.p.n*cs.p.nb), func(int) {
+	cs.p.es.kernel(dev, "parity-scale", float64(dst.Rows()*dst.Cols()), func(int) {
 		d, s := dst.Access(dev), src.Access(dev)
 		for i := 0; i < d.Rows; i++ {
 			dr, sr := d.Row(i), s.Row(i)
@@ -245,34 +258,37 @@ func (cs *codedState) scaleInto(dev *hetsim.Device, dst, src *hetsim.Buffer, c b
 	})
 }
 
-// memberView returns the current device-resident column of block column bj.
-func (cs *codedState) memberView(bj int) *hetsim.Buffer {
+// memberView returns rows [row0, n) of the current device-resident column
+// of block column bj.
+func (cs *codedState) memberView(bj, row0 int) *hetsim.Buffer {
 	p := cs.p
-	return p.local[p.owner(bj)].View(0, p.localOff(bj), p.n, p.nb)
+	return p.local[p.owner(bj)].View(row0, p.localOff(bj), p.n-row0, p.nb)
 }
 
-// encodeParity recomputes parity j of group t onto buf (resident on GPU
-// pg) from the members' current contents: buf = Σ_i gen[j][i]·D_i. The
-// first member with coefficient 1 is copied over the wire straight onto the
-// parity column; the rest are staged (or read in place when a member — a
-// reconstruction adoptee or a migrated column — shares pg's device) and
-// multiply-accumulated in.
-func (cs *codedState) encodeParity(t, j, pg int, buf *hetsim.Buffer) {
+// encodeParity recomputes rows [row0, n) of parity j of group t onto buf
+// (resident on GPU pg) from the members' current contents: buf = Σ_i
+// gen[j][i]·D_i, row by row (the code is row-local, so the rows above row0
+// keep their encoding). The first member with coefficient 1 is copied over
+// the wire straight onto the parity column; the rest are staged (or read in
+// place when a member — a reconstruction adoptee or a migrated column —
+// shares pg's device) and multiply-accumulated in.
+func (cs *codedState) encodeParity(t, j, pg int, buf *hetsim.Buffer, row0 int) {
 	g := &cs.groups[t]
 	p := cs.p
 	dev := p.es.sys.GPU(pg)
+	buf = buf.View(row0, 0, p.n-row0, p.nb)
 	started := false
 	for bj := g.first; bj <= g.last; bj++ {
 		c := cs.gen[j][bj-g.first]
 		local := p.owner(bj) == pg
+		src := cs.memberView(bj, row0)
 		if !started && c == 1 && !local {
-			cs.ship(cs.memberView(bj), buf)
+			cs.ship(src, buf)
 			started = true
 			continue
 		}
-		src := cs.memberView(bj)
 		if !local {
-			stage := cs.stageBuf(pg)
+			stage := cs.stageBuf(pg).View(row0, 0, p.n-row0, p.nb)
 			cs.ship(src, stage)
 			src = stage
 		}
@@ -285,25 +301,29 @@ func (cs *codedState) encodeParity(t, j, pg int, buf *hetsim.Buffer) {
 	}
 }
 
-// refreshGroup recomputes every surviving parity of group t from its
-// members' current contents.
-func (cs *codedState) refreshGroup(t int) {
-	g := &cs.groups[t]
-	for j, buf := range g.bufs {
-		if buf != nil {
-			cs.encodeParity(t, j, g.pgs[j], buf)
-		}
-	}
-}
-
 // refresh re-encodes the surviving parity of every group still holding a
 // column >= k, inside one coalesced-transfer window so a round pays each
-// link's latency once. refresh(0) is the initial full encode.
+// link's latency once. Only rows [k·nb, n) are re-encoded: every write
+// step k makes lies in those rows (LU interchanges swap rows >= k·nb, and
+// the panel and trailing updates touch nothing above). The re-encode is
+// full height when verification repaired anything since the last refresh
+// (repairWork moved), and for refresh(0) — the initial encode and the
+// re-encode after a rollback or resume.
 func (cs *codedState) refresh(k int) {
+	row0 := k * cs.p.nb
+	if w := repairWork(&cs.p.es.res.Counter); w != cs.repairs {
+		row0, cs.repairs = 0, w
+	}
 	cs.p.es.sys.CoalesceTransfers(func() {
 		for t := range cs.groups {
-			if cs.groups[t].last >= k {
-				cs.refreshGroup(t)
+			g := &cs.groups[t]
+			if g.last < k {
+				continue
+			}
+			for j, buf := range g.bufs {
+				if buf != nil {
+					cs.encodeParity(t, j, g.pgs[j], buf, row0)
+				}
 			}
 		}
 	})
@@ -350,7 +370,7 @@ func (cs *codedState) swapRows(r1, r2, bjLo, bjHi int) {
 func (cs *codedState) rehomeParity(t, j, dst int) {
 	g := &cs.groups[t]
 	buf := cs.p.es.sys.GPU(dst).Alloc(cs.p.n, cs.p.nb)
-	cs.encodeParity(t, j, dst, buf)
+	cs.encodeParity(t, j, dst, buf, 0)
 	g.pgs[j] = dst
 	g.bufs[j] = buf
 }
@@ -474,7 +494,7 @@ func (cs *codedState) rebuildGroup(t int, lostMembers []int) {
 			if isLost[bj] {
 				continue
 			}
-			src := cs.memberView(bj)
+			src := cs.memberView(bj, 0)
 			if p.owner(bj) != pg {
 				stage := cs.stageBuf(pg)
 				cs.ship(src, stage)

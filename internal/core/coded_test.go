@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftla/internal/checksum"
+	"ftla/internal/fault"
 	"ftla/internal/hetsim"
 )
 
@@ -76,10 +77,12 @@ func TestClusterSingleNodeBitIdentical(t *testing.T) {
 }
 
 // TestClusterNodeLossReconstructBitIdentical is the tentpole acceptance
-// pin: killing a whole node mid-run on a 3-node topology is absorbed by the
-// erasure-coded parity — no checkpoint, no restart — and the finished
-// factors (plus pivots/tau) are bit-identical to the uninterrupted run on
-// the same topology.
+// pin: killing a whole node mid-run is absorbed by the erasure-coded parity
+// — no checkpoint, no restart — and the finished factors (plus pivots/tau)
+// are bit-identical to the uninterrupted run on the same topology. Two
+// topologies: 3 nodes of one GPU each (two-member parity groups), and 4
+// GPUs on 2 nodes, where every panel broadcast relays through the remote
+// node's first GPU until the loss and the survivors run on one node after.
 func TestClusterNodeLossReconstructBitIdentical(t *testing.T) {
 	configs := []struct {
 		mode   Mode
@@ -89,60 +92,73 @@ func TestClusterNodeLossReconstructBitIdentical(t *testing.T) {
 		{SingleSide, PostOp},
 		{Full, NewScheme},
 	}
-	for _, decomp := range []string{"cholesky", "lu", "qr"} {
-		for _, lookahead := range []int{0, 1} {
-			for _, cfg := range configs {
-				label := decomp + "/" + cfg.mode.String() + "/node-loss"
-				opts := Options{NB: 16, Mode: cfg.mode, Scheme: cfg.scheme,
-					Kernel: checksum.OptKernel, Lookahead: lookahead}
-				clean := runPipelineOn(t, decomp, 96, clusterSystem(3, 3), opts)
+	topologies := []struct{ gpus, nodes, recon int }{
+		{3, 3, 2}, // node 1 holds GPU1, which owns block columns 1 and 4 of 6
+		{4, 2, 3}, // node 1 holds GPU1 (columns 1, 5) and GPU3 (column 3)
+	}
+	for _, topo := range topologies {
+		for _, decomp := range []string{"cholesky", "lu", "qr"} {
+			for _, lookahead := range []int{0, 1} {
+				for _, cfg := range configs {
+					label := fmt.Sprintf("%s/%s/%dx%d/lookahead=%d/node-loss",
+						decomp, cfg.mode, topo.gpus, topo.nodes, lookahead)
+					opts := Options{NB: 16, Mode: cfg.mode, Scheme: cfg.scheme,
+						Kernel: checksum.OptKernel, Lookahead: lookahead}
+					clean := runPipelineOn(t, decomp, 96, clusterSystem(topo.gpus, topo.nodes), opts)
 
-				opts.NodeFault = map[int]hetsim.NodeFaultPlan{1: {AfterEpochs: 2}}
-				lossy := runPipelineOn(t, decomp, 96, clusterSystem(3, 3), opts)
-
-				if lossy.res.NodesLost != 1 {
-					t.Fatalf("%s: NodesLost = %d, want 1", label, lossy.res.NodesLost)
-				}
-				if lossy.res.Reconstructions != 2 {
-					// Node 1 holds GPU1, which owns block columns 1 and 4 of 6.
-					t.Fatalf("%s: Reconstructions = %d, want 2", label, lossy.res.Reconstructions)
-				}
-				if clean.res.NodesLost != 0 || clean.res.Reconstructions != 0 {
-					t.Fatalf("%s: clean run reported node events: %+v", label, clean.res)
-				}
-				if clean.res.InternodeBytes <= 0 {
-					t.Fatalf("%s: parity maintenance moved no inter-node bytes", label)
-				}
-				if d, r, c := clean.out.MaxAbsDiff(lossy.out); d != 0 {
-					t.Fatalf("%s: factors not bit-identical after reconstruction: |Δ|=%g at (%d,%d)",
-						label, d, r, c)
-				}
-				for i := range clean.pivots {
-					if clean.pivots[i] != lossy.pivots[i] {
-						t.Fatalf("%s: pivots differ at %d: %d vs %d",
-							label, i, clean.pivots[i], lossy.pivots[i])
-					}
-				}
-				for i := range clean.tau {
-					if clean.tau[i] != lossy.tau[i] {
-						t.Fatalf("%s: tau differs at %d: %v vs %v",
-							label, i, clean.tau[i], lossy.tau[i])
-					}
-				}
-				if lossy.res.Rollbacks != 0 || lossy.res.Checkpoints != 0 {
-					t.Fatalf("%s: reconstruction leaned on checkpoints: %+v", label, lossy.res)
-				}
-				found := false
-				for _, rec := range lossy.journal {
-					if rec.Name == stageNodeLoss {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("%s: no node-loss stage journaled", label)
+					opts.NodeFault = map[int]hetsim.NodeFaultPlan{1: {AfterEpochs: 2}}
+					lossy := runPipelineOn(t, decomp, 96, clusterSystem(topo.gpus, topo.nodes), opts)
+					checkNodeLossRun(t, label, topo.recon, clean, lossy)
 				}
 			}
 		}
+	}
+}
+
+// checkNodeLossRun asserts that lossy absorbed one node loss by rebuilding
+// recon block columns from parity, without checkpoints, and finished
+// bit-identical to clean.
+func checkNodeLossRun(t *testing.T, label string, recon int, clean, lossy pipelineRun) {
+	t.Helper()
+	if lossy.res.NodesLost != 1 {
+		t.Fatalf("%s: NodesLost = %d, want 1", label, lossy.res.NodesLost)
+	}
+	if lossy.res.Reconstructions != recon {
+		t.Fatalf("%s: Reconstructions = %d, want %d", label, lossy.res.Reconstructions, recon)
+	}
+	if clean.res.NodesLost != 0 || clean.res.Reconstructions != 0 {
+		t.Fatalf("%s: clean run reported node events: %+v", label, clean.res)
+	}
+	if clean.res.InternodeBytes <= 0 {
+		t.Fatalf("%s: parity maintenance moved no inter-node bytes", label)
+	}
+	if d, r, c := clean.out.MaxAbsDiff(lossy.out); d != 0 {
+		t.Fatalf("%s: factors not bit-identical after reconstruction: |Δ|=%g at (%d,%d)",
+			label, d, r, c)
+	}
+	for i := range clean.pivots {
+		if clean.pivots[i] != lossy.pivots[i] {
+			t.Fatalf("%s: pivots differ at %d: %d vs %d",
+				label, i, clean.pivots[i], lossy.pivots[i])
+		}
+	}
+	for i := range clean.tau {
+		if clean.tau[i] != lossy.tau[i] {
+			t.Fatalf("%s: tau differs at %d: %v vs %v",
+				label, i, clean.tau[i], lossy.tau[i])
+		}
+	}
+	if lossy.res.Rollbacks != 0 || lossy.res.Checkpoints != 0 {
+		t.Fatalf("%s: reconstruction leaned on checkpoints: %+v", label, lossy.res)
+	}
+	found := false
+	for _, rec := range lossy.journal {
+		if rec.Name == stageNodeLoss {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("%s: no node-loss stage journaled", label)
 	}
 }
 
@@ -383,4 +399,63 @@ func TestClusterParityPlacementDisjoint(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestClusterParityRefreshShipsChangedRows pins the changed-rows parity
+// refresh on 4 GPUs over 2 nodes (r = 1, so every group is one member plus
+// one parity, and each encode ships one column): the initial encode ships
+// every group at full height, and the refresh after step k ships rows
+// [k·nb, n) of every group still holding a column >= k — exactly what the
+// parity-traffic meter must count on a clean run.
+func TestClusterParityRefreshShipsChangedRows(t *testing.T) {
+	const n, nb = 96, 16
+	nbr := n / nb
+	want := uint64(8 * n * nb * nbr) // refresh(0): the initial encode
+	for k := 0; k < nbr-1; k++ {
+		want += uint64(8 * (nbr - k) * (n - k*nb) * nb)
+	}
+	for _, decomp := range []string{"cholesky", "lu", "qr"} {
+		for _, lookahead := range []int{0, 1} {
+			opts := Options{NB: nb, Mode: Full, Scheme: NewScheme,
+				Kernel: checksum.OptKernel, Lookahead: lookahead}
+			before := parityBytesTotal.Value()
+			runPipelineOn(t, decomp, n, clusterSystem(4, 2), opts)
+			if got := parityBytesTotal.Value() - before; got != want {
+				t.Fatalf("%s/lookahead=%d: parity bytes = %d, want %d", decomp, lookahead, got, want)
+			}
+		}
+	}
+}
+
+// TestClusterRepairRefreshesFullHeight pins the changed-rows refresh's
+// fallback on 3 nodes at r = 1 (two-member groups, so the partial rows go
+// through the GF(2^8) scale/axpy path). A DRAM fault in QR's trailing
+// update at step 1 is repaired by rebuilding a whole column from its row
+// checksums, which rewrites rows above the step's changed range; node 1 is
+// lost at the next epoch. The factors and tau must be bit-identical to the
+// same injected run without the loss — which holds only if the refresh
+// after the repair re-encoded the parity at full height.
+func TestClusterRepairRefreshesFullHeight(t *testing.T) {
+	run := func(loss bool) pipelineRun {
+		inj := fault.NewInjector(1)
+		inj.Schedule(fault.Spec{Kind: fault.OffChipMemory, Op: fault.TMU, Part: fault.UpdatePart,
+			Iteration: 1, Row: -1, Col: -1, Bits: 2})
+		opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Injector: inj}
+		if loss {
+			opts.NodeFault = map[int]hetsim.NodeFaultPlan{1: {AfterEpochs: 2}}
+		}
+		pr := runPipelineOn(t, "qr", 128, clusterSystem(3, 3), opts)
+		if len(inj.Events()) != 1 {
+			t.Fatalf("loss=%v: DRAM fault fired %d times, want 1", loss, len(inj.Events()))
+		}
+		return pr
+	}
+	faulty := run(false)
+	c := faulty.res.Counter
+	if !faulty.res.Detected || faulty.res.Unrecoverable || c.ReconstructedLins == 0 {
+		t.Fatalf("DRAM fault not repaired by a column rebuild: detected=%v unrecoverable=%v counters=%+v",
+			faulty.res.Detected, faulty.res.Unrecoverable, c)
+	}
+	// Node 1 holds GPU1, which owns block columns 1, 4, and 7 of 8.
+	checkNodeLossRun(t, "qr/dram@TMU[1]/node-loss", 3, faulty, run(true))
 }

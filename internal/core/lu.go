@@ -241,7 +241,6 @@ func (l *luLadder) panelCommit(k int) {
 	nb := p.nb
 	o := k * nb
 	gk := p.owner(k)
-	G := sys.NumGPUs()
 	m := p.n - o
 	strips := p.nbr - k
 	chk := es.opts.Mode != NoChecksum
@@ -253,29 +252,21 @@ func (l *luLadder) panelCommit(k int) {
 		chkRows = 2
 	}
 	st.stages = p.allocStages(m, chkRows, nb)
+	var panelChk *hetsim.Buffer
+	if chk {
+		panelChk = p.colChkView(k, k, p.nbr)
+	}
+	// The owner's written-back panel is a second certified copy: its node
+	// receives the broadcast from it instead of over the interconnect.
+	pieces := stagePieces(st.stages, st.cpuPanel, st.cpuChk, panelDev, panelChk)
 	doBroadcast := func() {
 		es.withCommContext(k, fault.PD, o, o, func() {
 			// Writeback into the owner's authoritative storage first.
 			es.transfer(st.cpuPanel, panelDev)
 			if chk {
-				es.transfer(st.cpuChk, p.colChkView(k, k, p.nbr))
+				es.transfer(st.cpuChk, panelChk)
 			}
-			for g := 0; g < G; g++ {
-				if !p.gpuLive(g) {
-					continue
-				}
-				if g == gk {
-					copyWithin(sys.GPU(gk), panelDev, st.stages[g].data)
-					if chk {
-						copyWithin(sys.GPU(gk), p.colChkView(k, k, p.nbr), st.stages[g].chk)
-					}
-					continue
-				}
-				es.transfer(st.cpuPanel, st.stages[g].data)
-				if chk {
-					es.transfer(st.cpuChk, st.stages[g].chk)
-				}
-			}
+			es.broadcast(pieces)
 		})
 	}
 	doBroadcast()

@@ -227,36 +227,30 @@ func (l *qrLadder) panelCommit(k int) {
 	st.stages = p.allocStages(m, chkRows, nb)
 	st.cvStage = make([]*hetsim.Buffer, G)
 	st.tStage = make([]*hetsim.Buffer, G)
+	for g := 0; g < G; g++ {
+		if p.gpuLive(g) {
+			st.cvStage[g] = sys.GPU(g).Alloc(chkRows, nb)
+			st.tStage[g] = sys.GPU(g).Alloc(nb, nb)
+		}
+	}
+	var panelChk *hetsim.Buffer
+	if chk {
+		panelChk = p.colChkView(k, k, p.nbr)
+	}
+	// The owner's written-back panel is a second certified copy (see
+	// luLadder.panelCommit); c(V) and T exist only on the CPU.
+	pieces := stagePieces(st.stages, st.cpuPanel, st.cpuChk, panelDev, panelChk)
+	if chk {
+		pieces = append(pieces, bcastPiece{src: st.cpuCV, dsts: st.cvStage})
+	}
+	pieces = append(pieces, bcastPiece{src: st.cpuT, dsts: st.tStage})
 	doBroadcast := func() {
 		es.withCommContext(k, fault.PD, o, o, func() {
 			es.transfer(st.cpuPanel, panelDev)
 			if chk {
-				es.transfer(st.cpuChk, p.colChkView(k, k, p.nbr))
+				es.transfer(st.cpuChk, panelChk)
 			}
-			for g := 0; g < G; g++ {
-				if !p.gpuLive(g) {
-					continue
-				}
-				if st.cvStage[g] == nil {
-					st.cvStage[g] = sys.GPU(g).Alloc(chkRows, nb)
-					st.tStage[g] = sys.GPU(g).Alloc(nb, nb)
-				}
-				if g == gk {
-					copyWithin(sys.GPU(gk), panelDev, st.stages[g].data)
-					if chk {
-						copyWithin(sys.GPU(gk), p.colChkView(k, k, p.nbr), st.stages[g].chk)
-					}
-				} else {
-					es.transfer(st.cpuPanel, st.stages[g].data)
-					if chk {
-						es.transfer(st.cpuChk, st.stages[g].chk)
-					}
-				}
-				if chk {
-					es.transfer(st.cpuCV, st.cvStage[g])
-				}
-				es.transfer(st.cpuT, st.tStage[g])
-			}
+			es.broadcast(pieces)
 		})
 	}
 	doBroadcast()

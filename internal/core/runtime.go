@@ -644,6 +644,53 @@ func (es *engineSys) transfer(src, dst *hetsim.Buffer) {
 	es.sys.TransferReliable(src, dst)
 }
 
+// bcastPiece is one piece of a panel broadcast (the panel, its checksum
+// strips, QR's c(V) or T): its certified source, an optional second
+// certified copy on a GPU (the owner's written-back panel), and one
+// destination per GPU, nil where a GPU receives nothing (lost to a node
+// fault).
+type bcastPiece struct {
+	src, home *hetsim.Buffer
+	dsts      []*hetsim.Buffer
+}
+
+// broadcast delivers every piece to every destination, crossing each node
+// boundary at most once per piece. A destination on the device of src or
+// home copies in place; one on the node of src or home receives from that
+// certified copy over PCIe (on a flat system that is every leg: exactly
+// the per-GPU loop of a plain broadcast); on any other node, the first
+// live GPU receives from src over the interconnect and relays to its
+// node-mates from its own stage. Destinations are served in GPU order, the
+// pieces of one GPU back to back, so the communication-fault hook strikes
+// the same leg (the one whose destination is the targeted GPU) and a relay
+// is filled before its mates read it.
+func (es *engineSys) broadcast(pieces []bcastPiece) {
+	relay := make(map[[2]int]*hetsim.Buffer) // (piece, node) → relay's stage
+	for g := 0; g < es.sys.NumGPUs(); g++ {
+		dev := es.sys.GPU(g)
+		node := dev.Node()
+		for i, pc := range pieces {
+			dst, via := pc.dsts[g], [2]int{i, node}
+			switch {
+			case dst == nil:
+			case pc.src.Device() == dev:
+				copyWithin(dev, pc.src, dst)
+			case pc.home != nil && pc.home.Device() == dev:
+				copyWithin(dev, pc.home, dst)
+			case pc.src.Device().Node() == node:
+				es.transfer(pc.src, dst)
+			case pc.home != nil && pc.home.Device().Node() == node:
+				es.transfer(pc.home, dst)
+			case relay[via] != nil:
+				es.transfer(relay[via], dst)
+			default:
+				es.transfer(pc.src, dst)
+				relay[via] = dst
+			}
+		}
+	}
+}
+
 // netTransfer is the cross-node counterpart of transfer: the movement of
 // parity shipments and reconstruction traffic between *nodes* of the
 // topology. It rides the same reliable protocol (the simulator classifies

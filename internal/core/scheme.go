@@ -99,6 +99,22 @@ func (p *protected) allocStages(rows, chkRows, cols int) []stagePair {
 	return out
 }
 
+// stagePieces describes the broadcast of a panel into stages: the panel
+// from src (second certified copy home) and, when srcChk is set, its
+// checksum strips from srcChk (homeChk). home and homeChk may be nil.
+func stagePieces(stages []stagePair, src, srcChk, home, homeChk *hetsim.Buffer) []bcastPiece {
+	data := make([]*hetsim.Buffer, len(stages))
+	chks := make([]*hetsim.Buffer, len(stages))
+	for g, s := range stages {
+		data[g], chks[g] = s.data, s.chk
+	}
+	pieces := []bcastPiece{{src: src, home: home, dsts: data}}
+	if srcChk != nil {
+		pieces = append(pieces, bcastPiece{src: srcChk, home: homeChk, dsts: chks})
+	}
+	return pieces
+}
+
 // verifyStages verifies each GPU's received stage against its received
 // checksums and repairs localizable corruption. It returns the per-GPU
 // outcomes and the count of GPUs whose stage was corrupted — the §VII.C

@@ -104,8 +104,7 @@ type rebBenchRow struct {
 	WallSeconds   float64 `json:"wall_seconds"`
 }
 
-// collectRebRows measures the three-way comparison per decomposition and
-// writes BENCH_rebalance.json.
+// collectRebRows measures the three-way comparison per decomposition.
 func collectRebRows(t testing.TB) []rebBenchRow {
 	rows := make([]rebBenchRow, 0, 3)
 	for _, decomp := range []string{"cholesky", "lu", "qr"} {
@@ -125,13 +124,6 @@ func collectRebRows(t testing.TB) []rebBenchRow {
 		}
 		rows = append(rows, row)
 	}
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal BENCH_rebalance.json: %v", err)
-	}
-	if err := os.WriteFile("BENCH_rebalance.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_rebalance.json: %v", err)
-	}
 	return rows
 }
 
@@ -143,6 +135,13 @@ func BenchmarkRebalance(b *testing.B) {
 	var rows []rebBenchRow
 	for i := 0; i < b.N; i++ {
 		rows = collectRebRows(b)
+	}
+	data, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		b.Fatalf("marshal BENCH_rebalance.json: %v", err)
+	}
+	if err := os.WriteFile("BENCH_rebalance.json", append(data, '\n'), 0o644); err != nil {
+		b.Fatalf("write BENCH_rebalance.json: %v", err)
 	}
 	for _, r := range rows {
 		b.ReportMetric(r.RecoveredFrac, r.Decomp+"-recovered-frac")

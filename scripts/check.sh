@@ -100,8 +100,8 @@ go test -timeout 5m -run 'TestPipelineLookaheadHidesPanelWork' ./internal/core
 # bit-identical to the static layout on uniform devices (the identity
 # half lives in the core suite above). The assertion is on the simulated
 # clock, so it holds under -race — and the rebalance/migration path is
-# new concurrency worth running under the detector (writes
-# BENCH_rebalance.json).
+# new concurrency worth running under the detector (the gate writes
+# nothing; BenchmarkRebalance regenerates BENCH_rebalance.json).
 go test -race -timeout 5m -run 'TestRebalanceMakespanGate' .
 
 # Link-fault recovery gate: with fixed-rate corruption armed on 1 of 3
@@ -115,8 +115,9 @@ go test -race -timeout 5m -run 'TestLinkFaultRecoveryGate' -count=2 .
 # Batch-throughput gate: batched small-matrix serving must amortize
 # per-step transfer latency — simulated-clock throughput must rise
 # monotonically with batch size and reach >=2x solo throughput at batch
-# 16 (writes BENCH_batch.json). Run without -race for the same reason as
-# the makespan gate: the assertion is on simulated time, not wall time.
+# 16 (the gate writes nothing; BenchmarkBatchThroughput regenerates
+# BENCH_batch.json). Run without -race for the same reason as the makespan
+# gate: the assertion is on simulated time, not wall time.
 go test -timeout 5m -run 'TestBatchThroughputGate' .
 
 # Node-loss recovery gate: on a fleet of 3-node cluster jobs where a third
